@@ -85,7 +85,6 @@ const OPTIONS: &[&str] = &[
     "iters",
     "coord",
     "backends",
-    "replicas",
     "vnodes",
     "watchdog-ms",
     "supervise-ms",

@@ -58,8 +58,8 @@ fn usage() -> &'static str {
 simulation service (see docs/serve.md):
   wib-sim serve [--addr H:P] [--workers N] [--queue N] [--tiny] [--results-dir D]
                 [--port-file F] [--insts N] [--warmup N] [--watchdog-ms N] [--quiet]
-  wib-sim coord --backends H:P,H:P,... [--addr H:P] [--replicas N] [--vnodes N]
-                [--tiny] [--insts N] [--warmup N] [--port-file F] [--quiet]
+  wib-sim coord --backends H:P,H:P,... [--addr H:P] [--vnodes N] [--tiny]
+                [--insts N] [--warmup N] [--port-file F] [--quiet]
                 [--supervise-ms N] [--fail-threshold N]
   wib-sim submit <bench[:spec]>... [--addr H:P | --coord H:P | --local] [--config <spec>]
                  [--insts N] [--warmup N] [--deadline-ms N] [--retry N] [--out DIR]
@@ -235,7 +235,6 @@ fn cmd_coord(args: &Args) -> Result<(), ParseError> {
         .option("addr")
         .unwrap_or_else(|| DEFAULT_COORD_ADDR.into());
     opts.backends = backends;
-    opts.replicas = args.number("replicas", opts.replicas as u64)? as usize;
     opts.vnodes = args.number("vnodes", opts.vnodes as u64)? as usize;
     opts.tiny = args.flag("tiny");
     opts.default_insts = args.number("insts", opts.default_insts)?;

@@ -278,23 +278,9 @@ impl ResultCache {
     /// loaded into memory). Counts a hit or miss either way; entries
     /// that fail the integrity check count as `rejected` misses.
     pub fn get(&self, key: &str) -> Option<Arc<String>> {
-        self.lookup(key, true)
-    }
-
-    /// [`ResultCache::get`] without touching the hit/miss counters — the
-    /// peer-serving path: a `cache_get` probe from a ring neighbor must
-    /// not distort this node's own hit-rate telemetry. Integrity
-    /// rejections are still counted.
-    pub fn peek(&self, key: &str) -> Option<Arc<String>> {
-        self.lookup(key, false)
-    }
-
-    fn lookup(&self, key: &str, count: bool) -> Option<Arc<String>> {
         let mut inner = self.lock_inner();
         if let Some(doc) = inner.get(key).cloned() {
-            if count {
-                self.hits.inc();
-            }
+            self.hits.inc();
             return Some(doc);
         }
         if let Some(dir) = &self.dir {
@@ -305,18 +291,14 @@ impl ResultCache {
                         let doc = Arc::new(doc);
                         inner.insert(key.to_string(), Arc::clone(&doc));
                         self.entries.set(inner.len() as u64);
-                        if count {
-                            self.hits.inc();
-                        }
+                        self.hits.inc();
                         return Some(doc);
                     }
                     None => self.rejected.inc(),
                 }
             }
         }
-        if count {
-            self.misses.inc();
-        }
+        self.misses.inc();
         None
     }
 
@@ -501,17 +483,6 @@ mod tests {
         assert_eq!(exp.value("wib_serve_cache_scavenged_total"), Some(0.0));
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
-    }
-
-    #[test]
-    fn peek_serves_without_counting_hits_or_misses() {
-        let c = ResultCache::new(None);
-        assert!(c.peek("00112233deadbeef").is_none());
-        c.put("00112233deadbeef", "{\"x\":1}".into());
-        assert!(c.peek("00112233deadbeef").is_some());
-        let s = c.stats();
-        // Peer probes leave the node's own hit-rate telemetry alone.
-        assert_eq!((s.hits, s.misses), (0, 0));
     }
 
     #[test]

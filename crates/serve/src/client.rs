@@ -20,7 +20,7 @@
 //! as [`ServeError::Stalled`] rather than a hung client.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -146,27 +146,6 @@ fn connect(addr: &str) -> Result<TcpStream, ServeError> {
     })
 }
 
-/// Connect with a hard deadline. The OS default connect timeout can run
-/// to minutes; a peer-cache probe to a dead node must fail in
-/// milliseconds so the miss path stays cheap.
-fn connect_within(addr: &str, timeout: Duration) -> Result<TcpStream, ServeError> {
-    use std::net::ToSocketAddrs;
-    let fail = |source| ServeError::Connect {
-        addr: addr.to_string(),
-        source,
-    };
-    let mut last = None;
-    for sa in addr.to_socket_addrs().map_err(fail)? {
-        match TcpStream::connect_timeout(&sa, timeout) {
-            Ok(s) => return Ok(s),
-            Err(e) => last = Some(e),
-        }
-    }
-    Err(fail(last.unwrap_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::NotFound, "address resolved to nothing")
-    })))
-}
-
 fn send_line(stream: &TcpStream, line: &str) -> Result<(), ServeError> {
     let mut w = BufWriter::new(
         stream
@@ -177,6 +156,31 @@ fn send_line(stream: &TcpStream, line: &str) -> Result<(), ServeError> {
         .and_then(|()| w.write_all(b"\n"))
         .and_then(|()| w.flush())
         .map_err(|e| ServeError::io("send request", e))
+}
+
+/// Read the next event line into `line`, waking every [`EVENT_TICK`]
+/// (the socket's read timeout) and keeping a partial line across those
+/// wake-ups. Returns `Ok(false)` at EOF, and [`ServeError::Stalled`]
+/// once `budget` passes with no complete line.
+fn next_line(
+    reader: &mut BufReader<TcpStream>,
+    line: &mut String,
+    budget: Duration,
+) -> Result<bool, ServeError> {
+    line.clear();
+    let start = Instant::now();
+    loop {
+        match reader.read_line(line) {
+            Ok(n) => return Ok(n > 0),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                let idle = start.elapsed();
+                if idle >= budget {
+                    return Err(ServeError::Stalled { idle });
+                }
+            }
+            Err(e) => return Err(ServeError::io("read event", e)),
+        }
+    }
 }
 
 /// Build one `submit` frame for the given subset of `jobs` (identified
@@ -306,7 +310,6 @@ pub fn submit_with(
     let mut frame: Vec<usize> = Vec::new();
     let mut awaiting_ack = 0usize;
     let mut pending: HashMap<u64, InFlight> = HashMap::new();
-    let mut last_heard = Instant::now();
     let mut line = String::new();
 
     while slots.iter().any(Option::is_none) {
@@ -327,28 +330,12 @@ pub fn submit_with(
             frame = std::mem::take(&mut to_send);
             send_line(&stream, &submit_request(jobs, &frame, opts).to_string())?;
             awaiting_ack = frame.len();
-            last_heard = Instant::now();
         }
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => {
-                let outstanding = awaiting_ack + pending.len();
-                return Err(ServeError::Server(format!(
-                    "server closed the connection with {outstanding} job(s) outstanding"
-                )));
-            }
-            Ok(_) => last_heard = Instant::now(),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                let idle = last_heard.elapsed();
-                if idle >= opts.idle_timeout {
-                    return Err(ServeError::Stalled { idle });
-                }
-                continue;
-            }
-            Err(e) => return Err(ServeError::io("read event", e)),
+        if !next_line(&mut reader, &mut line, opts.idle_timeout)? {
+            let outstanding = awaiting_ack + pending.len();
+            return Err(ServeError::Server(format!(
+                "server closed the connection with {outstanding} job(s) outstanding"
+            )));
         }
         let ev = Json::parse(line.trim())
             .map_err(|e| ServeError::Protocol(format!("bad event line: {e}")))?;
@@ -639,40 +626,17 @@ pub fn run_local(
 /// line parsed as JSON. Gives up ([`ServeError::Stalled`]) after
 /// `budget` with no reply.
 fn round_trip(addr: &str, req: &Json, budget: Duration) -> Result<Json, ServeError> {
-    round_trip_on(connect(addr)?, req, budget)
-}
-
-/// [`round_trip`] over an already-connected socket (so callers can pick
-/// their own connect strategy, e.g. [`connect_within`] for peer probes).
-fn round_trip_on(stream: TcpStream, req: &Json, budget: Duration) -> Result<Json, ServeError> {
+    let stream = connect(addr)?;
     stream
         .set_read_timeout(Some(EVENT_TICK))
         .map_err(|e| ServeError::io("set read timeout", e))?;
     let _ = stream.set_write_timeout(Some(RPC_TIMEOUT));
     send_line(&stream, &req.to_string())?;
-    let mut reader = BufReader::new(stream);
     let mut line = String::new();
-    let start = Instant::now();
-    loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => {
-                return Err(ServeError::Server(
-                    "server closed the connection without replying".to_string(),
-                ))
-            }
-            Ok(_) => break,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if start.elapsed() >= budget {
-                    return Err(ServeError::Stalled {
-                        idle: start.elapsed(),
-                    });
-                }
-            }
-            Err(e) => return Err(ServeError::io("read reply", e)),
-        }
+    if !next_line(&mut BufReader::new(stream), &mut line, budget)? {
+        return Err(ServeError::Server(
+            "server closed the connection without replying".to_string(),
+        ));
     }
     Json::parse(line.trim()).map_err(ServeError::Protocol)
 }
@@ -714,58 +678,6 @@ pub fn metrics(addr: &str) -> Result<String, ServeError> {
             .to_string()),
         other => Err(ServeError::Protocol(format!(
             "unexpected metrics reply: {other:?}"
-        ))),
-    }
-}
-
-/// Probe a peer daemon's result cache for `digest`
-/// (`{"op":"cache_get"}`) — the cache-peering fast path: a node that
-/// misses locally asks its ring neighbors before paying for a
-/// simulation. Both the connect and the reply share `budget`, so a dead
-/// peer costs milliseconds, not the OS connect timeout.
-///
-/// Returns the cached result document on a hit, `None` on a miss.
-///
-/// # Errors
-/// Connection/protocol failures.
-pub fn cache_fetch(addr: &str, digest: &str, budget: Duration) -> Result<Option<Json>, ServeError> {
-    // One deadline covers connect *and* reply: a peer that accepts the
-    // connection slowly cannot double its allowance.
-    let deadline = Instant::now() + budget;
-    let stream = connect_within(addr, budget)?;
-    let remaining = deadline
-        .saturating_duration_since(Instant::now())
-        .max(Duration::from_millis(1));
-    let req = Json::obj().field("op", "cache_get").field("digest", digest);
-    let reply = round_trip_on(stream, &req, remaining)?;
-    match reply.get("event").and_then(Json::as_str) {
-        Some("cache_entry") => {
-            if reply.get("found").and_then(Json::as_bool).unwrap_or(false) {
-                Ok(reply.get("result").cloned())
-            } else {
-                Ok(None)
-            }
-        }
-        other => Err(ServeError::Protocol(format!(
-            "unexpected cache_get reply: {other:?}"
-        ))),
-    }
-}
-
-/// Install the cache-peering neighbor list on a backend
-/// (`{"op":"peers"}`): the addresses it will probe, in order, on a
-/// local cache miss before simulating. Replaces any previous list.
-///
-/// # Errors
-/// Connection/protocol failures, or a non-`peers` reply.
-pub fn set_peers(addr: &str, peers: &[String]) -> Result<(), ServeError> {
-    let arr: Vec<Json> = peers.iter().map(|p| Json::from(p.as_str())).collect();
-    let req = Json::obj().field("op", "peers").field("addrs", arr);
-    let reply = round_trip(addr, &req, RPC_TIMEOUT)?;
-    match reply.get("event").and_then(Json::as_str) {
-        Some("peers") => Ok(()),
-        other => Err(ServeError::Protocol(format!(
-            "unexpected peers reply: {other:?}"
         ))),
     }
 }

@@ -12,25 +12,26 @@
 //! * **Sharding** — a job's digest has one owner, so repeated sweeps of
 //!   the same points land on the nodes that already cached them, and
 //!   the fleet's aggregate cache behaves like one big cache.
-//! * **Cache peering** — the coordinator installs each node's ring
-//!   successors as its peer list (`{"op":"peers"}`); a node that misses
-//!   locally probes those neighbors (`{"op":"cache_get"}`) before
-//!   paying for a simulation, which is what makes re-routed work cheap
-//!   after membership changes.
 //! * **Node-death retry** — a backend that dies mid-batch surfaces as a
 //!   failed per-node submission; the coordinator removes it from the
 //!   ring (remapping only its keys), bumps `node_deaths`, and re-routes
-//!   the orphaned jobs to their new owners. Re-execution is safe
-//!   because results are deterministic and content-addressed — the
-//!   identical idempotency argument behind the client's shed-retry
-//!   machinery.
+//!   the orphaned jobs to their new owners, which simulate them afresh.
+//!   Re-execution is safe because results are deterministic and
+//!   content-addressed — the identical idempotency argument behind the
+//!   client's shed-retry machinery.
 //! * **Self-healing membership** — a supervisor thread pings dead nodes
-//!   on an exponential backoff and re-adds any that answer (peer lists
-//!   re-pushed, `node_rejoins` bumped), so a restarted backend rejoins
-//!   without operator action. Health probes (metrics scrape, stats
+//!   on an exponential backoff and re-adds any that answer
+//!   (`node_rejoins` bumped), so a restarted backend rejoins without
+//!   operator action and owns its shard again. Keys a survivor computed
+//!   during the outage are simulated once more by the returning owner,
+//!   with byte-identical output. Health probes (metrics scrape, stats
 //!   probe) only evict a node after `fail_threshold` *consecutive*
 //!   failures — one transient timeout no longer reshuffles the ring —
 //!   while a failed job submission still kills a node immediately.
+//!
+//! Connections are served by the shared NDJSON front end
+//! (`front.rs`); this module supplies the coordinator's own ops
+//! (`submit`, `stats`, `cluster_stats`, `metrics`, `join`).
 //!
 //! The coordinator resolves and validates jobs itself (same catalog,
 //! same [`resolve_job`]), mints its own job ids, and forwards backend
@@ -43,12 +44,12 @@
 //! the backend computes.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Write;
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::Sender;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use wib_bench::Runner;
@@ -57,15 +58,11 @@ use wib_workloads::Workload;
 
 use crate::cache::ResultCache;
 use crate::client::{self, JobStatus, SubmitOptions};
+use crate::fault::FaultPlan;
+use crate::front::{self, Front, Role, Service, READ_TICK};
 use crate::protocol::{self, JobRequest, Request};
 use crate::ring::HashRing;
 use crate::server::{build_catalog, resolve_job};
-
-/// How often a blocked connection reader wakes to check for shutdown.
-const READ_TICK: Duration = Duration::from_millis(100);
-
-/// Per-connection socket write budget (mirrors the daemon's).
-const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Coordinator configuration.
 #[derive(Debug, Clone)]
@@ -75,9 +72,6 @@ pub struct CoordOptions {
     /// Backend daemon addresses to seed the ring with. Unreachable ones
     /// start on the dead list; more can join later (`{"op":"join"}`).
     pub backends: Vec<String>,
-    /// Ring successors per node used for the cache-peering list (and
-    /// the natural replica count of a key).
-    pub replicas: usize,
     /// Virtual-node points per backend on the hash ring.
     pub vnodes: usize,
     /// Resolve jobs against the miniature test suite (must match the
@@ -101,7 +95,7 @@ pub struct CoordOptions {
 }
 
 impl Default for CoordOptions {
-    /// Loopback ephemeral port, 2 replicas, 64 vnodes, protocol
+    /// Loopback ephemeral port, 64 vnodes, protocol
     /// defaults from the environment — the same defaulting chain as
     /// [`crate::server::ServerOptions`].
     fn default() -> CoordOptions {
@@ -109,7 +103,6 @@ impl Default for CoordOptions {
         CoordOptions {
             addr: "127.0.0.1:0".to_string(),
             backends: Vec::new(),
-            replicas: 2,
             vnodes: 64,
             tiny: false,
             default_insts: runner.insts,
@@ -158,21 +151,10 @@ struct CoordShared {
     nodes_gauge: Gauge,
     uptime_ms: Gauge,
     next_job: AtomicU64,
-    watchers: Mutex<HashMap<u64, Sender<String>>>,
-    next_watcher: AtomicU64,
-    shutting_down: AtomicBool,
-    finished: Mutex<bool>,
-    finished_cv: Condvar,
-    bound: SocketAddr,
+    front: Front,
 }
 
 impl CoordShared {
-    fn log(&self, msg: &str) {
-        if !self.opts.quiet {
-            eprintln!("wib-coord: {msg}");
-        }
-    }
-
     fn lock_ring(&self) -> MutexGuard<'_, HashRing> {
         self.ring.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -183,36 +165,6 @@ impl CoordShared {
 
     fn lock_health(&self) -> MutexGuard<'_, HashMap<String, u32>> {
         self.health.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn lock_watchers(&self) -> MutexGuard<'_, HashMap<u64, Sender<String>>> {
-        self.watchers.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Send `ev` to the owning connection and every watcher (same
-    /// fan-out contract as the daemon's `publish`).
-    fn publish(&self, own: Option<&Sender<String>>, ev: &Json) {
-        let line = ev.to_string();
-        if let Some(tx) = own {
-            let _ = tx.send(line.clone());
-        }
-        let mut watchers = self.lock_watchers();
-        watchers.retain(|_, w| w.send(line.clone()).is_ok());
-    }
-
-    fn mark_finished(&self) {
-        *self.finished.lock().unwrap_or_else(PoisonError::into_inner) = true;
-        self.finished_cv.notify_all();
-    }
-
-    fn wait_finished(&self) {
-        let mut done = self.finished.lock().unwrap_or_else(PoisonError::into_inner);
-        while !*done {
-            done = self
-                .finished_cv
-                .wait(done)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
     }
 
     /// Per-node routing counter, registered on first use.
@@ -231,22 +183,19 @@ impl CoordShared {
     }
 
     /// Declare `node` dead: drop it from the ring (remapping only its
-    /// keys), record the death, and re-push peer lists so the survivors'
-    /// cache peering reflects the new ring. Idempotent.
+    /// keys) and record the death. Idempotent.
     fn mark_dead(&self, node: &str, why: &str) {
-        let peer_map = {
+        {
             let mut ring = self.lock_ring();
             if !ring.remove(node) {
                 return; // already dead (two routers can race here)
             }
             self.node_deaths.inc();
             self.nodes_gauge.set(ring.len() as u64);
-            peer_lists(&ring, self.opts.replicas)
-        };
+        }
         self.lock_dead().push(node.to_string());
         self.lock_health().remove(node);
-        self.log(&format!("node {node} marked dead: {why}"));
-        self.push_peers(peer_map);
+        self.front.log(&format!("node {node} marked dead: {why}"));
     }
 
     /// Record one failed health probe (metrics scrape or stats probe)
@@ -264,7 +213,7 @@ impl CoordShared {
             self.mark_dead(node, &format!("{why} ({fails} consecutive probe failures)"));
             true
         } else {
-            self.log(&format!(
+            self.front.log(&format!(
                 "node {node} probe failed ({fails}/{}): {why}",
                 self.opts.fail_threshold
             ));
@@ -278,28 +227,17 @@ impl CoordShared {
     }
 
     /// Add `node` to the ring (reviving it off the dead list if it was
-    /// there) and re-push peer lists. Returns the new live-node count.
+    /// there). Returns the new live-node count.
     fn add_node(&self, node: &str) -> usize {
-        let (count, peer_map) = {
+        let count = {
             let mut ring = self.lock_ring();
             ring.add(node);
             self.nodes_gauge.set(ring.len() as u64);
-            (ring.len(), peer_lists(&ring, self.opts.replicas))
+            ring.len()
         };
         self.lock_dead().retain(|d| d != node);
         self.lock_health().remove(node);
-        self.push_peers(peer_map);
         count
-    }
-
-    /// Install the given peer lists on their nodes, best-effort: a node
-    /// that cannot take its list still serves, just without peering.
-    fn push_peers(&self, map: Vec<(String, Vec<String>)>) {
-        for (node, peers) in map {
-            if let Err(e) = client::set_peers(&node, &peers) {
-                self.log(&format!("failed to install peer list on {node}: {e}"));
-            }
-        }
     }
 
     /// The coordinator's own introspection snapshot (`{"op":"stats"}`).
@@ -318,11 +256,10 @@ impl CoordShared {
         Json::obj()
             .field("event", "stats")
             .field("schema", "wib-coord/stats-v1")
-            .field("addr", self.bound.to_string())
+            .field("addr", self.front.bound().to_string())
             .field("version", env!("CARGO_PKG_VERSION"))
             .field("uptime_ms", self.started.elapsed().as_millis() as u64)
             .field("scale", self.scale)
-            .field("replicas", self.opts.replicas)
             .field("vnodes", self.opts.vnodes)
             .field("nodes", Json::Arr(nodes))
             .field("dead", Json::Arr(dead))
@@ -333,7 +270,7 @@ impl CoordShared {
             .field("rerouted", self.rerouted.get())
             .field("node_deaths", self.node_deaths.get())
             .field("node_rejoins", self.node_rejoins.get())
-            .field("watchers", self.lock_watchers().len())
+            .field("watchers", self.front.watcher_count())
     }
 
     /// One merged registry: the coordinator's own metrics plus every
@@ -412,13 +349,11 @@ impl CoordShared {
             .field("cache_hits", sum("wib_serve_cache_hits_total"))
             .field("cache_misses", sum("wib_serve_cache_misses_total"))
             .field("cache_entries", sum("wib_serve_cache_entries"))
-            .field("queue_depth", sum("wib_serve_queue_depth"))
-            .field("peer_probes", sum("wib_serve_peer_probes_total"))
-            .field("peer_hits", sum("wib_serve_peer_hits_total"));
+            .field("queue_depth", sum("wib_serve_queue_depth"));
         Json::obj()
             .field("event", "cluster_stats")
             .field("schema", "wib-coord/cluster-stats-v1")
-            .field("addr", self.bound.to_string())
+            .field("addr", self.front.bound().to_string())
             .field("nodes", Json::Arr(node_docs))
             .field("submitted", self.submitted.get())
             .field("completed", self.completed.get())
@@ -431,28 +366,9 @@ impl CoordShared {
 
     /// Flip into shutdown and wake the accept loop.
     fn begin_shutdown(&self) {
-        if self.shutting_down.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        self.log("shutdown requested");
-        let _ = TcpStream::connect(self.bound);
+        self.front
+            .begin_shutdown(|| self.front.log("shutdown requested"));
     }
-}
-
-/// Every node's cache-peering list under the current ring: its
-/// `replicas` clockwise successors, excluding itself.
-fn peer_lists(ring: &HashRing, replicas: usize) -> Vec<(String, Vec<String>)> {
-    ring.nodes()
-        .iter()
-        .map(|n| {
-            let peers = ring
-                .peers_of(n, replicas)
-                .into_iter()
-                .map(str::to_string)
-                .collect();
-            (n.clone(), peers)
-        })
-        .collect()
 }
 
 /// A running coordinator spawned with [`spawn`].
@@ -480,8 +396,8 @@ impl CoordHandle {
 }
 
 /// Bind and start a coordinator in background threads. Backends from
-/// [`CoordOptions::backends`] are pinged; reachable ones seed the ring
-/// (and get their peer lists installed), unreachable ones start dead.
+/// [`CoordOptions::backends`] are pinged; reachable ones seed the ring,
+/// unreachable ones start dead.
 ///
 /// # Errors
 /// Socket binding / port-file errors.
@@ -552,21 +468,19 @@ pub fn spawn(opts: CoordOptions) -> std::io::Result<CoordHandle> {
         ),
         registry,
         next_job: AtomicU64::new(1),
-        watchers: Mutex::new(HashMap::new()),
-        next_watcher: AtomicU64::new(1),
-        shutting_down: AtomicBool::new(false),
-        finished: Mutex::new(false),
-        finished_cv: Condvar::new(),
-        bound,
+        front: Front::new(
+            Role::Coordinator,
+            bound,
+            opts.quiet,
+            Arc::new(FaultPlan::none()),
+        ),
         opts,
     });
     shared.refresh_gauges();
-    shared.push_peers(peer_lists(&shared.lock_ring(), shared.opts.replicas));
-    shared.log(&format!(
-        "listening on {bound} ({} live node(s), {} dead, {} replicas, {} vnodes, {} suite)",
+    shared.front.log(&format!(
+        "listening on {bound} ({} live node(s), {} dead, {} vnodes, {} suite)",
         shared.lock_ring().len(),
         shared.lock_dead().len(),
-        shared.opts.replicas,
         shared.opts.vnodes,
         shared.scale
     ));
@@ -606,51 +520,19 @@ fn run_loop(shared: Arc<CoordShared>, listener: TcpListener) {
     } else {
         None
     };
-    let mut conn_handles = Vec::new();
-    for stream in listener.incoming() {
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            break;
-        }
-        match stream {
-            Ok(stream) => {
-                let shared = Arc::clone(&shared);
-                let h = std::thread::Builder::new()
-                    .name("wib-coord-conn".to_string())
-                    .spawn(move || handle_conn(shared, stream))
-                    .expect("spawn connection thread");
-                conn_handles.push(h);
-            }
-            Err(_) => continue,
-        }
-    }
-    drop(listener);
-    // Tell watchers the coordinator is gone, then drop their channels so
-    // connection writer threads can exit.
-    let farewell = Json::obj()
-        .field("event", "shutdown")
-        .field("completed", shared.completed.get())
-        .field("errors", shared.failed.get())
-        .field("cancelled", shared.cancelled.get());
-    shared.publish(None, &farewell);
-    shared.lock_watchers().clear();
-    // Unblock any connection reader (including the one that requested
-    // the shutdown, waiting in `wait_finished`) *before* joining them.
-    shared.mark_finished();
-    for h in conn_handles {
-        let _ = h.join();
-    }
+    let conns = front::accept(&shared, listener);
+    front::close(&*shared, conns);
     if let Some(h) = supervisor {
         let _ = h.join();
     }
-    shared.log("stopped");
+    shared.front.log("stopped");
 }
 
 /// The dead-node supervisor: every `supervise_ms` it pings nodes on the
 /// dead list (with per-node exponential backoff so a long-dead backend
 /// isn't hammered) and revives any that answer — `add_node` puts the
-/// node back on the ring and re-pushes every survivor's peer list, so a
-/// restarted backend rejoins with cache peering intact and no operator
-/// action. Live nodes are deliberately *not* probed here: their health
+/// node back on the ring, so a restarted backend rejoins with no
+/// operator action. Live nodes are deliberately *not* probed here: their health
 /// is judged by the scrape/submit paths that actually talk to them.
 fn supervisor_loop(shared: &Arc<CoordShared>) {
     let interval = Duration::from_millis(shared.opts.supervise_ms.max(1));
@@ -659,7 +541,7 @@ fn supervisor_loop(shared: &Arc<CoordShared>) {
     loop {
         let mut slept = Duration::ZERO;
         while slept < interval {
-            if shared.shutting_down.load(Ordering::SeqCst) {
+            if shared.front.is_shutting_down() {
                 return;
             }
             let step = READ_TICK.min(interval - slept);
@@ -669,7 +551,7 @@ fn supervisor_loop(shared: &Arc<CoordShared>) {
         let dead: Vec<String> = shared.lock_dead().clone();
         backoff.retain(|node, _| dead.contains(node));
         for node in dead {
-            if shared.shutting_down.load(Ordering::SeqCst) {
+            if shared.front.is_shutting_down() {
                 return;
             }
             let now = Instant::now();
@@ -681,12 +563,12 @@ fn supervisor_loop(shared: &Arc<CoordShared>) {
             match client::ping(&node) {
                 Ok(()) => {
                     backoff.remove(&node);
-                    // Count the revival before `add_node`'s peer pushes,
-                    // so a stats read never sees the node back on the
-                    // ring with the rejoin still uncounted.
+                    // Count the revival before `add_node`, so a stats
+                    // read never sees the node back on the ring with the
+                    // rejoin still uncounted.
                     shared.node_rejoins.inc();
                     let count = shared.add_node(&node);
-                    shared.log(&format!(
+                    shared.front.log(&format!(
                         "node {node} answered its revival probe; rejoined the ring ({count} live)"
                     ));
                 }
@@ -695,7 +577,7 @@ fn supervisor_loop(shared: &Arc<CoordShared>) {
                     entry.0 = entry.0.saturating_add(1);
                     // 1x, 2x, 4x ... up to 64x the base interval.
                     entry.1 = now + interval * (1u32 << entry.0.min(6));
-                    shared.log(&format!(
+                    shared.front.log(&format!(
                         "dead node {node} still unreachable (revival probe {}): {e}",
                         entry.0
                     ));
@@ -705,175 +587,70 @@ fn supervisor_loop(shared: &Arc<CoordShared>) {
     }
 }
 
-#[derive(Default)]
-struct ConnState {
-    watcher_id: Option<u64>,
-}
+impl Service for CoordShared {
+    fn front(&self) -> &Front {
+        &self.front
+    }
 
-fn handle_conn(shared: Arc<CoordShared>, stream: TcpStream) {
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.to_string())
-        .unwrap_or_else(|_| "?".to_string());
-    if stream.set_read_timeout(Some(READ_TICK)).is_err() {
-        return;
-    }
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    let Ok(writer_stream) = stream.try_clone() else {
-        return;
-    };
-    let (tx, rx) = channel::<String>();
-    let writer = std::thread::Builder::new()
-        .name("wib-coord-writer".to_string())
-        .spawn(move || {
-            let mut w = BufWriter::new(writer_stream);
-            while let Ok(line) = rx.recv() {
-                let sent = w
-                    .write_all(line.as_bytes())
-                    .and_then(|()| w.write_all(b"\n"))
-                    .and_then(|()| w.flush());
-                if sent.is_err() {
-                    break;
+    fn handle(&self, tx: &Sender<String>, request: Request) {
+        let reply = |ev: Json| {
+            let _ = tx.send(ev.to_string());
+        };
+        match request {
+            Request::Stats => reply(self.stats_json()),
+            Request::ClusterStats => reply(self.cluster_stats_json()),
+            Request::Metrics => reply(protocol::ev_metrics(&self.merged_registry().render())),
+            Request::Join { addr } => match client::ping(&addr) {
+                Ok(()) => {
+                    let nodes = self.add_node(&addr);
+                    self.front
+                        .log(&format!("node {addr} joined the ring ({nodes} live)"));
+                    reply(protocol::ev_joined(&addr, nodes));
                 }
-            }
-        })
-        .expect("spawn writer thread");
-    let mut conn = ConnState::default();
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    continue;
-                }
-                if dispatch(&shared, &tx, &mut conn, trimmed) {
-                    break;
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
-            Err(_) => break,
+                Err(e) => reply(protocol::ev_protocol_error(&format!(
+                    "join: backend {addr} unreachable: {e}"
+                ))),
+            },
+            Request::Submit {
+                jobs,
+                insts,
+                warmup,
+                deadline_ms,
+            } => route_batch(self, tx, &jobs, insts, warmup, deadline_ms),
+            // Answered by the front end.
+            Request::Ping | Request::Watch | Request::Shutdown { .. } | Request::Cancel { .. } => {}
         }
     }
-    if let Some(wid) = conn.watcher_id {
-        shared.lock_watchers().remove(&wid);
-    }
-    shared.log(&format!("connection {peer} closed"));
-    drop(tx);
-    let _ = writer.join();
-}
 
-/// Handle one request line; returns `true` when the connection should
-/// close (after a shutdown request completes).
-fn dispatch(
-    shared: &Arc<CoordShared>,
-    tx: &Sender<String>,
-    conn: &mut ConnState,
-    line: &str,
-) -> bool {
-    let request = match Request::parse(line) {
-        Ok(r) => r,
-        Err(e) => {
-            let _ = tx.send(protocol::ev_protocol_error(&e).to_string());
-            return false;
-        }
-    };
-    match request {
-        Request::Ping => {
-            let _ = tx.send(Json::obj().field("event", "pong").to_string());
-        }
-        Request::Stats => {
-            let _ = tx.send(shared.stats_json().to_string());
-        }
-        Request::ClusterStats => {
-            let _ = tx.send(shared.cluster_stats_json().to_string());
-        }
-        Request::Metrics => {
-            let text = shared.merged_registry().render();
-            let _ = tx.send(protocol::ev_metrics(&text).to_string());
-        }
-        Request::Watch => {
-            let wid = shared.next_watcher.fetch_add(1, Ordering::Relaxed);
-            shared.lock_watchers().insert(wid, tx.clone());
-            conn.watcher_id = Some(wid);
-            let _ = tx.send(Json::obj().field("event", "watching").to_string());
-        }
-        Request::Join { addr } => match client::ping(&addr) {
-            Ok(()) => {
-                let nodes = shared.add_node(&addr);
-                shared.log(&format!("node {addr} joined the ring ({nodes} live)"));
-                let _ = tx.send(protocol::ev_joined(&addr, nodes).to_string());
+    /// Drain the whole cluster: ask every live backend to stop first
+    /// (their drains finish queued work), then stop here.
+    fn shutdown(&self, drain: bool) {
+        let nodes: Vec<String> = self.lock_ring().nodes().to_vec();
+        for node in nodes {
+            match client::shutdown(&node, drain) {
+                Ok(_) => self.front.log(&format!("backend {node} shut down")),
+                Err(e) => self
+                    .front
+                    .log(&format!("backend {node} shutdown failed: {e}")),
             }
-            Err(e) => {
-                let _ = tx.send(
-                    protocol::ev_protocol_error(&format!("join: backend {addr} unreachable: {e}"))
-                        .to_string(),
-                );
-            }
-        },
-        Request::Submit {
-            jobs,
-            insts,
-            warmup,
-            deadline_ms,
-        } => {
-            route_batch(shared, tx, &jobs, insts, warmup, deadline_ms);
         }
-        Request::Cancel { .. } => {
-            let _ = tx.send(
-                protocol::ev_protocol_error(
-                    "cancel is not routed through the coordinator; cancel at the owning backend",
-                )
-                .to_string(),
-            );
-        }
-        Request::CacheGet { .. } | Request::Peers { .. } => {
-            let _ = tx.send(
-                protocol::ev_protocol_error("backend-only op: this is the coordinator").to_string(),
-            );
-        }
-        Request::Shutdown { drain } => {
-            // Drain the whole cluster: ask every live backend to stop
-            // first (their drains finish queued work), then stop here.
-            let nodes: Vec<String> = shared.lock_ring().nodes().to_vec();
-            for node in nodes {
-                match client::shutdown(&node, drain) {
-                    Ok(_) => shared.log(&format!("backend {node} shut down")),
-                    Err(e) => shared.log(&format!("backend {node} shutdown failed: {e}")),
-                }
-            }
-            shared.begin_shutdown();
-            shared.wait_finished();
-            let _ = tx.send(
-                Json::obj()
-                    .field("event", "shutdown")
-                    .field("completed", shared.completed.get())
-                    .field("errors", shared.failed.get())
-                    .field("cancelled", shared.cancelled.get())
-                    .to_string(),
-            );
-            return true;
-        }
+        self.begin_shutdown();
     }
-    false
+
+    fn farewell(&self) -> Json {
+        protocol::ev_shutdown(
+            self.completed.get(),
+            self.failed.get(),
+            self.cancelled.get(),
+        )
+    }
 }
 
 /// Validate, announce, route, and (re-)route one submitted batch until
 /// every job is terminal. Each pass of the loop either finishes jobs or
 /// removes a dead node from the ring, so it terminates.
 fn route_batch(
-    shared: &Arc<CoordShared>,
+    shared: &CoordShared,
     tx: &Sender<String>,
     jobs: &[JobRequest],
     batch_insts: Option<u64>,
@@ -882,8 +659,8 @@ fn route_batch(
 ) {
     let mut pending: Vec<Routed> = Vec::new();
     for (index, job) in jobs.iter().enumerate() {
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            shared.publish(
+        if shared.front.is_shutting_down() {
+            shared.front.publish(
                 Some(tx),
                 &protocol::ev_rejected(index, &job.workload, "coordinator is shutting down"),
             );
@@ -899,7 +676,7 @@ fn route_batch(
         );
         match resolved {
             Err(reason) => {
-                shared.publish(
+                shared.front.publish(
                     Some(tx),
                     &protocol::ev_rejected(index, &job.workload, &reason),
                 );
@@ -910,7 +687,7 @@ fn route_batch(
                 let spec = cfg.to_spec();
                 let span = format!("coord-{id}");
                 shared.submitted.inc();
-                shared.publish(
+                shared.front.publish(
                     Some(tx),
                     &protocol::ev_queued(id, index, &name, &spec, &digest, &span),
                 );
@@ -938,7 +715,7 @@ fn route_batch(
                 drop(ring);
                 for r in pending.drain(..) {
                     shared.failed.inc();
-                    shared.publish(
+                    shared.front.publish(
                         Some(tx),
                         &protocol::ev_error(r.id, &r.digest, "no live backend nodes in the ring"),
                     );
@@ -959,7 +736,7 @@ fn route_batch(
         for (node, group) in &groups {
             shared.routed_counter(node).add(group.len() as u64);
             for r in group {
-                shared.publish(Some(tx), &protocol::ev_running(r.id));
+                shared.front.publish(Some(tx), &protocol::ev_running(r.id));
             }
         }
         // Fan out: one forwarding client per owner, concurrently. The
@@ -999,11 +776,10 @@ fn route_batch(
                 Err(e) => {
                     // The node died mid-batch. Completed-but-unreported
                     // work in the group is safe to re-run: results are
-                    // deterministic and content-addressed, and the new
-                    // owner peer-probes before simulating.
+                    // deterministic and content-addressed.
                     shared.mark_dead(&node, &format!("submit failed: {e}"));
                     shared.rerouted.add(group.len() as u64);
-                    shared.log(&format!(
+                    shared.front.log(&format!(
                         "re-routing {} job(s) after losing {node}",
                         group.len()
                     ));
@@ -1016,26 +792,32 @@ fn route_batch(
 
 /// Publish one job's terminal event and bump the matching counter.
 /// Backend results are forwarded verbatim — byte identity end to end.
-fn finish(shared: &Arc<CoordShared>, tx: &Sender<String>, r: Routed, status: JobStatus) {
+fn finish(shared: &CoordShared, tx: &Sender<String>, r: Routed, status: JobStatus) {
     match status {
         JobStatus::Done { cached, result } => {
             shared.completed.inc();
-            shared.publish(Some(tx), &protocol::ev_done(r.id, cached, result));
+            shared
+                .front
+                .publish(Some(tx), &protocol::ev_done(r.id, cached, result));
         }
         JobStatus::Error(msg) => {
             shared.failed.inc();
-            shared.publish(Some(tx), &protocol::ev_error(r.id, &r.digest, &msg));
+            shared
+                .front
+                .publish(Some(tx), &protocol::ev_error(r.id, &r.digest, &msg));
         }
         JobStatus::Cancelled => {
             shared.cancelled.inc();
-            shared.publish(Some(tx), &protocol::ev_cancelled(r.id));
+            shared
+                .front
+                .publish(Some(tx), &protocol::ev_cancelled(r.id));
         }
         JobStatus::Rejected(reason) => {
             // The client already saw this job `queued` (the coordinator
             // validated it), so a backend rejection must terminate it as
             // an error, never as a second `rejected` index.
             shared.failed.inc();
-            shared.publish(
+            shared.front.publish(
                 Some(tx),
                 &protocol::ev_error(
                     r.id,
@@ -1048,7 +830,7 @@ fn finish(shared: &Arc<CoordShared>, tx: &Sender<String>, r: Routed, status: Job
             // The per-node client exhausted its own retry budget; hand
             // the backoff decision back to the submitting client, whose
             // shed machinery will resubmit the job to us.
-            shared.publish(
+            shared.front.publish(
                 Some(tx),
                 &protocol::ev_shed(r.id, &r.workload, retry_after_ms),
             );

@@ -19,9 +19,12 @@
 //!   `WIB_RESULTS_DIR`.
 //! * [`protocol`] — the NDJSON wire format: request parsing and event
 //!   construction. See `docs/serve.md` for the grammar.
-//! * [`server`] — the daemon: accept loop, connection reader/writer
-//!   threads, panic-isolated worker pool, deadlines and cancellation of
-//!   running jobs, graceful drain-and-shutdown.
+//! * `front` — the NDJSON front end both roles share: accept loop
+//!   (reaping finished connection threads), per-connection reader and
+//!   writer threads, the watcher registry, the shutdown latch, and the
+//!   `ping`/`watch`/`shutdown` ops.
+//! * [`server`] — the daemon: panic-isolated worker pool, deadlines and
+//!   cancellation of running jobs, graceful drain-and-shutdown.
 //! * [`client`] — submit/stats/watch/shutdown helpers plus a `--local`
 //!   mode that computes byte-identical result files with no daemon,
 //!   which is how the offline gate proves the service changes nothing.
@@ -50,6 +53,7 @@ pub mod client;
 pub mod coord;
 pub mod error;
 pub mod fault;
+mod front;
 pub mod journal;
 pub mod protocol;
 pub mod queue;

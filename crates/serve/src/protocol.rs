@@ -17,8 +17,6 @@
 //! {"op":"watch"}                            subscribe to all job events
 //! {"op":"shutdown","mode":"drain"|"now"}    graceful stop (default drain)
 //! {"op":"ping"}                             liveness probe
-//! {"op":"cache_get","digest":"ab12..."}     peer cache probe (no compute)
-//! {"op":"peers","addrs":["h:p",...]}        install cache-peering list
 //! {"op":"join","addr":"h:p"}                add a backend (coordinator)
 //! {"op":"cluster_stats"}                    cluster view (coordinator)
 //! ```
@@ -90,19 +88,6 @@ pub enum Request {
     },
     /// Liveness probe.
     Ping,
-    /// Look up one result-cache entry by digest, without computing on a
-    /// miss — the cache-peering probe a ring neighbor sends before it
-    /// pays for a simulation.
-    CacheGet {
-        /// The content digest (`ResultCache::key`).
-        digest: String,
-    },
-    /// Install this node's cache-peering neighbor list (replaces any
-    /// previous list). The coordinator pushes ring successors here.
-    Peers {
-        /// Peer daemon addresses, probed in order on a local miss.
-        addrs: Vec<String>,
-    },
     /// Coordinator only: add a backend node to the hash ring.
     Join {
         /// The backend daemon's address.
@@ -130,31 +115,6 @@ impl Request {
             "watch" => Ok(Request::Watch),
             "ping" => Ok(Request::Ping),
             "cluster_stats" => Ok(Request::ClusterStats),
-            "cache_get" => {
-                let digest = doc
-                    .get("digest")
-                    .and_then(Json::as_str)
-                    .filter(|d| !d.is_empty())
-                    .ok_or("cache_get needs a non-empty string `digest` field")?;
-                Ok(Request::CacheGet {
-                    digest: digest.to_string(),
-                })
-            }
-            "peers" => {
-                let addrs_json = doc
-                    .get("addrs")
-                    .and_then(Json::as_arr)
-                    .ok_or("peers needs an `addrs` array")?;
-                let mut addrs = Vec::with_capacity(addrs_json.len());
-                for (i, a) in addrs_json.iter().enumerate() {
-                    let addr = a
-                        .as_str()
-                        .filter(|a| !a.is_empty())
-                        .ok_or(format!("peers addr {i} must be a non-empty string"))?;
-                    addrs.push(addr.to_string());
-                }
-                Ok(Request::Peers { addrs })
-            }
             "join" => {
                 let addr = doc
                     .get("addr")
@@ -380,22 +340,14 @@ pub fn ev_metrics(text: &str) -> Json {
     Json::obj().field("event", "metrics").field("text", text)
 }
 
-/// `cache_entry`: reply to `cache_get`. On a hit `found` is true and
-/// `result` carries the cached document; on a miss only `found:false`.
-pub fn ev_cache_entry(digest: &str, result: Option<Json>) -> Json {
-    let ev = Json::obj()
-        .field("event", "cache_entry")
-        .field("digest", digest)
-        .field("found", result.is_some());
-    match result {
-        Some(doc) => ev.field("result", doc),
-        None => ev,
-    }
-}
-
-/// `peers`: reply to a `peers` install; echoes how many were stored.
-pub fn ev_peers(count: usize) -> Json {
-    Json::obj().field("event", "peers").field("count", count)
+/// `shutdown`: the final event of a drained daemon or coordinator,
+/// sent to every watcher and to the connection that asked for it.
+pub fn ev_shutdown(completed: u64, errors: u64, cancelled: u64) -> Json {
+    Json::obj()
+        .field("event", "shutdown")
+        .field("completed", completed)
+        .field("errors", errors)
+        .field("cancelled", cancelled)
 }
 
 /// `joined`: reply to a coordinator `join`; echoes the new node and the
@@ -474,43 +426,19 @@ mod tests {
             Request::ClusterStats
         );
         assert_eq!(
-            Request::parse(r#"{"op":"cache_get","digest":"ab12"}"#).unwrap(),
-            Request::CacheGet {
-                digest: "ab12".to_string()
-            }
-        );
-        assert_eq!(
             Request::parse(r#"{"op":"join","addr":"127.0.0.1:9000"}"#).unwrap(),
             Request::Join {
                 addr: "127.0.0.1:9000".to_string()
             }
         );
-        assert_eq!(
-            Request::parse(r#"{"op":"peers","addrs":["a:1","b:2"]}"#).unwrap(),
-            Request::Peers {
-                addrs: vec!["a:1".to_string(), "b:2".to_string()]
-            }
-        );
-        // An empty peer list is valid: it clears peering.
-        assert_eq!(
-            Request::parse(r#"{"op":"peers","addrs":[]}"#).unwrap(),
-            Request::Peers { addrs: vec![] }
-        );
     }
 
     #[test]
     fn cluster_event_frames_are_well_formed() {
-        let hit = ev_cache_entry("ab12", Some(Json::obj().field("ok", true)));
-        assert_eq!(hit.get("found").and_then(Json::as_bool), Some(true));
-        assert!(hit.get("result").is_some());
-        let miss = ev_cache_entry("ab12", None);
-        assert_eq!(miss.get("found").and_then(Json::as_bool), Some(false));
-        assert!(miss.get("result").is_none());
-        for ev in [hit, miss, ev_peers(2), ev_joined("a:1", 3)] {
-            let line = ev.to_string();
-            assert!(!line.contains('\n'));
-            assert!(ev.get("event").and_then(Json::as_str).is_some());
-        }
+        let ev = ev_joined("a:1", 3);
+        assert!(!ev.to_string().contains('\n'));
+        assert_eq!(ev.get("event").and_then(Json::as_str), Some("joined"));
+        assert_eq!(ev.get("nodes").and_then(Json::as_u64), Some(3));
     }
 
     #[test]
@@ -529,13 +457,17 @@ mod tests {
             r#"{"op":"submit","deadline_ms":0,"jobs":[{"workload":"gcc","spec":"base"}]}"#,
             r#"{"op":"submit","jobs":[{"workload":"gcc","spec":"base","deadline_ms":0}]}"#,
             r#"{"op":"submit","deadline_ms":99999999999,"jobs":[{"workload":"gcc","spec":"base"}]}"#,
-            r#"{"op":"cache_get"}"#,
-            r#"{"op":"cache_get","digest":""}"#,
             r#"{"op":"join"}"#,
             r#"{"op":"join","addr":""}"#,
+            // Retired ops: they now parse as unknown ops.
+            r#"{"op":"cache_get"}"#,
+            r#"{"op":"cache_get","digest":""}"#,
+            r#"{"op":"cache_get","digest":"ab12"}"#,
             r#"{"op":"peers"}"#,
             r#"{"op":"peers","addrs":[7]}"#,
             r#"{"op":"peers","addrs":[""]}"#,
+            r#"{"op":"peers","addrs":["a:1","b:2"]}"#,
+            r#"{"op":"peers","addrs":[]}"#,
         ] {
             assert!(Request::parse(bad).is_err(), "should reject {bad}");
         }
@@ -581,6 +513,7 @@ mod tests {
             ev_cancelled(1),
             ev_span(1, "s-1", "gcc", "done", &[("queue", 10), ("run", 20)], 30),
             ev_metrics("# HELP x y\n# TYPE x counter\nx 1\n"),
+            ev_shutdown(3, 1, 0),
             ev_protocol_error("bad line"),
         ];
         for ev in evs {

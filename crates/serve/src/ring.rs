@@ -14,9 +14,6 @@
 //! * **Minimal disruption** — removing a dead node remaps only the keys
 //!   it owned (to their next successor); every other key keeps its
 //!   node, and with it its warm cache.
-//! * **Replica ordering** — [`HashRing::successors`] walks distinct
-//!   nodes clockwise from a key, giving the retry order when the
-//!   primary dies and the neighbor list for cache peering.
 
 use wib_core::fnv1a64;
 
@@ -112,53 +109,15 @@ impl HashRing {
         true
     }
 
-    /// The first ring point clockwise from `hash` (wrapping), as an
-    /// index into `points`.
-    fn successor_point(&self, hash: u64) -> usize {
-        self.points.partition_point(|&(p, _)| p < hash) % self.points.len()
-    }
-
     /// The node owning `key`: the first point clockwise from the key's
-    /// hash. `None` on an empty ring.
+    /// hash (wrapping). `None` on an empty ring.
     pub fn primary(&self, key: &str) -> Option<&str> {
         if self.points.is_empty() {
             return None;
         }
-        let start = self.successor_point(position(key));
+        let hash = position(key);
+        let start = self.points.partition_point(|&(p, _)| p < hash) % self.points.len();
         Some(self.nodes[self.points[start].1].as_str())
-    }
-
-    /// Up to `n` *distinct* nodes in clockwise order from `key`'s hash:
-    /// element 0 is the primary, the rest are the replica/fallback order
-    /// when it dies (and the peer list for cache peering).
-    pub fn successors(&self, key: &str, n: usize) -> Vec<&str> {
-        self.walk(position(key), n, None)
-    }
-
-    /// Up to `n` distinct nodes clockwise from `node`'s own first point,
-    /// excluding `node` itself — its cache-peering neighbors.
-    pub fn peers_of(&self, node: &str, n: usize) -> Vec<&str> {
-        self.walk(position(&format!("{node}#0")), n, Some(node))
-    }
-
-    fn walk(&self, hash: u64, n: usize, exclude: Option<&str>) -> Vec<&str> {
-        let mut out: Vec<&str> = Vec::new();
-        if self.points.is_empty() || n == 0 {
-            return out;
-        }
-        let start = self.successor_point(hash);
-        for off in 0..self.points.len() {
-            let (_, idx) = self.points[(start + off) % self.points.len()];
-            let node = self.nodes[idx].as_str();
-            if exclude == Some(node) || out.contains(&node) {
-                continue;
-            }
-            out.push(node);
-            if out.len() == n {
-                break;
-            }
-        }
-        out
     }
 }
 
@@ -231,40 +190,9 @@ mod tests {
     }
 
     #[test]
-    fn successors_are_distinct_and_start_at_the_primary() {
-        let mut ring = HashRing::new(64);
-        for n in ["a:1", "b:1", "c:1"] {
-            ring.add(n);
-        }
-        for k in keys() {
-            let succ = ring.successors(&k, 3);
-            assert_eq!(succ.len(), 3);
-            assert_eq!(succ[0], ring.primary(&k).unwrap());
-            let mut sorted = succ.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            assert_eq!(sorted.len(), 3, "successors must be distinct nodes");
-        }
-        // Asking for more nodes than exist returns them all, once each.
-        assert_eq!(ring.successors("k", 10).len(), 3);
-    }
-
-    #[test]
-    fn peers_exclude_the_node_itself() {
-        let mut ring = HashRing::new(64);
-        for n in ["a:1", "b:1", "c:1"] {
-            ring.add(n);
-        }
-        let peers = ring.peers_of("a:1", 8);
-        assert_eq!(peers.len(), 2);
-        assert!(!peers.contains(&"a:1"));
-    }
-
-    #[test]
     fn empty_ring_is_well_behaved() {
         let ring = HashRing::new(64);
         assert!(ring.is_empty());
         assert_eq!(ring.primary("k"), None);
-        assert!(ring.successors("k", 3).is_empty());
     }
 }

@@ -1,9 +1,10 @@
 //! The simulation daemon.
 //!
-//! One listener thread accepts TCP connections; each connection gets a
-//! reader thread (parsing NDJSON requests) and a writer thread (draining
-//! an mpsc channel of event lines to the socket, so workers can stream
-//! into any number of connections without contending on I/O). Jobs flow
+//! Connections are served by the shared NDJSON front end
+//! (`front.rs`): one reader and one writer thread per connection,
+//! with workers streaming event lines into per-connection channels so
+//! they never contend on socket I/O. This module supplies the daemon's
+//! own ops (`submit`, `cancel`, `stats`, `metrics`). Jobs flow
 //! through a [`BoundedQueue`] into a persistent worker pool sized like
 //! the sweep harnesses' pool (`WIB_THREADS` /
 //! [`wib_bench::parallel::worker_threads`]); every worker owns its
@@ -37,13 +38,13 @@
 //! threads.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Write;
+use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::mpsc::Sender;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use wib_bench::parallel::worker_threads;
@@ -55,21 +56,15 @@ use wib_core::{
 use wib_workloads::{eval_suite, test_suite, Workload};
 
 use crate::cache::ResultCache;
-use crate::fault::{FaultPlan, WriteFault};
+use crate::fault::FaultPlan;
+use crate::front::{self, Front, Role, Service};
 use crate::journal::{Journal, JournalEntry};
 use crate::protocol::{self, JobRequest, Request, MAX_INSTS};
 use crate::queue::{BoundedQueue, TryPushError};
 
-/// How often a blocked connection reader wakes to check for shutdown.
-const READ_TICK: Duration = Duration::from_millis(100);
-
 /// Interval events streamed per job before truncation (the full series
 /// is always in the result document; streaming is a progress feed).
 const MAX_STREAMED_INTERVALS: usize = 64;
-
-/// Per-connection socket write budget: a peer that accepts no bytes for
-/// this long is treated as gone and its writer thread exits.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// How many times a worker thread is restarted after a panic that
 /// escaped per-job isolation before the daemon gives up on that slot.
@@ -82,16 +77,6 @@ const MAX_WORKER_RESTARTS: u64 = 1000;
 const SHED_BASE_MS: u64 = 25;
 const SHED_CAP_MS: u64 = 2000;
 const SHED_JITTER_MS: u64 = 25;
-
-/// Total wall-clock budget for the whole peer-probing pass on one
-/// local miss. Small on purpose: the probes race a simulation worth
-/// seconds-to-minutes, but dead peers must not stall the miss path.
-const PEER_BUDGET: Duration = Duration::from_millis(1500);
-
-/// Budget for any *single* peer probe (connect plus reply). Strictly
-/// smaller than [`PEER_BUDGET`] so one hung peer cannot consume the
-/// whole pass before the remaining neighbors are tried.
-const PEER_PROBE_BUDGET: Duration = Duration::from_millis(500);
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -361,28 +346,10 @@ struct Shared {
     watchdog_hangs: Counter,
     /// Tells the watchdog thread the worker pool has drained.
     watchdog_stop: AtomicBool,
-    /// Cache-peering neighbor list (ring successors, installed by the
-    /// coordinator's `peers` op). Probed in order on a local miss.
-    peers: Mutex<Vec<String>>,
-    /// Peer-cache probes sent (one per peer tried on a miss).
-    peer_probes: Counter,
-    /// Local misses served from a peer's cache instead of simulating.
-    peer_hits: Counter,
-    watchers: Mutex<HashMap<u64, Sender<String>>>,
-    next_watcher: AtomicU64,
-    shutting_down: AtomicBool,
-    finished: Mutex<bool>,
-    finished_cv: Condvar,
-    bound: SocketAddr,
+    front: Front,
 }
 
 impl Shared {
-    fn log(&self, msg: &str) {
-        if !self.opts.quiet {
-            eprintln!("wib-serve: {msg}");
-        }
-    }
-
     /// Jobs-map lock, tolerant of poisoning: a panicking worker must
     /// not wedge every other worker and connection forever. Panics in
     /// this file never happen while the map is mid-mutation (single
@@ -391,52 +358,12 @@ impl Shared {
         self.jobs.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn lock_watchers(&self) -> MutexGuard<'_, HashMap<u64, Sender<String>>> {
-        self.watchers.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn lock_peers(&self) -> MutexGuard<'_, Vec<String>> {
-        self.peers.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Send `ev` to the job's own connection (if still attached) and to
-    /// every watcher. A watcher whose connection died (its writer hit a
-    /// broken pipe and hung up the channel) fails the send and is
-    /// unregistered here, its buffered events dropped with it.
-    fn publish(&self, own: Option<&Sender<String>>, ev: &Json) {
-        let line = ev.to_string();
-        if let Some(tx) = own {
-            let _ = tx.send(line.clone());
-        }
-        let mut watchers = self.lock_watchers();
-        watchers.retain(|_, w| w.send(line.clone()).is_ok());
-    }
-
-    fn is_finished(&self) -> bool {
-        *self.finished.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn mark_finished(&self) {
-        *self.finished.lock().unwrap_or_else(PoisonError::into_inner) = true;
-        self.finished_cv.notify_all();
-    }
-
-    fn wait_finished(&self) {
-        let mut done = self.finished.lock().unwrap_or_else(PoisonError::into_inner);
-        while !*done {
-            done = self
-                .finished_cv
-                .wait(done)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
     /// The introspection snapshot (`{"op":"stats"}`).
     fn stats_json(&self) -> Json {
         Json::obj()
             .field("event", "stats")
             .field("schema", "wib-serve/stats-v1")
-            .field("addr", self.bound.to_string())
+            .field("addr", self.front.bound().to_string())
             .field("version", env!("CARGO_PKG_VERSION"))
             .field(
                 "uptime_ms",
@@ -447,7 +374,7 @@ impl Shared {
             .field("busy_workers", self.busy.load(Ordering::Relaxed))
             .field("queue_depth", self.queue.len())
             .field("queue_capacity", self.opts.queue_capacity)
-            .field("draining", self.shutting_down.load(Ordering::Relaxed))
+            .field("draining", self.front.is_shutting_down())
             .field("submitted", self.submitted.get())
             .field("completed", self.completed.get())
             .field("errors", self.errors.get())
@@ -465,10 +392,7 @@ impl Shared {
                 "journal_replayed",
                 self.journal.as_ref().map_or(0, Journal::replayed),
             )
-            .field("watchers", self.lock_watchers().len())
-            .field("peers", self.lock_peers().len())
-            .field("peer_probes", self.peer_probes.get())
-            .field("peer_hits", self.peer_hits.get())
+            .field("watchers", self.front.watcher_count())
             .field("cache", self.cache.stats().to_json())
     }
 
@@ -480,7 +404,7 @@ impl Shared {
         t.queue_capacity.set(self.opts.queue_capacity as u64);
         t.busy_workers.set(self.busy.load(Ordering::Relaxed) as u64);
         t.worker_count.set(self.workers as u64);
-        t.watcher_count.set(self.lock_watchers().len() as u64);
+        t.watcher_count.set(self.front.watcher_count() as u64);
         t.uptime_ms.set(t.started.elapsed().as_millis() as u64);
         t.registry.render()
     }
@@ -505,31 +429,59 @@ impl Shared {
     /// cancelled and trip every running job's token first, then close
     /// the queue and wake the accept loop.
     fn begin_shutdown(&self, drain: bool) {
-        if self.shutting_down.swap(true, Ordering::SeqCst) {
-            return; // second shutdown request: idempotent
-        }
-        self.log(if drain {
-            "shutdown requested (drain)"
-        } else {
-            "shutdown requested (now)"
-        });
-        if !drain {
-            let mut jobs = self.lock_jobs();
-            for job in jobs.values_mut() {
-                match job.state {
-                    JobState::Queued => job.cancelled = true,
-                    JobState::Running => {
-                        if let Some(t) = &job.token {
-                            t.cancel();
+        self.front.begin_shutdown(|| {
+            self.front.log(if drain {
+                "shutdown requested (drain)"
+            } else {
+                "shutdown requested (now)"
+            });
+            if !drain {
+                let mut jobs = self.lock_jobs();
+                for job in jobs.values_mut() {
+                    match job.state {
+                        JobState::Queued => job.cancelled = true,
+                        JobState::Running => {
+                            if let Some(t) = &job.token {
+                                t.cancel();
+                            }
                         }
+                        _ => {}
                     }
-                    _ => {}
                 }
             }
-        }
-        self.queue.close();
-        // Unblock the accept loop so it can observe the flag.
-        let _ = TcpStream::connect(self.bound);
+            self.queue.close();
+        });
+    }
+
+    /// The `cancel` op: flag a queued job, or trip a running job's
+    /// token. Returns the `cancel` reply.
+    fn cancel(&self, job: u64) -> Json {
+        let (ok, state) = {
+            let mut jobs = self.lock_jobs();
+            match jobs.get_mut(&job) {
+                Some(j) if j.state == JobState::Queued && !j.cancelled => {
+                    j.cancelled = true;
+                    (true, "queued")
+                }
+                Some(j) if j.state == JobState::Running => match &j.token {
+                    Some(t) => {
+                        // The engine observes this at its next epoch
+                        // boundary; the worker then publishes the
+                        // terminal `cancelled` event.
+                        t.cancel();
+                        (true, "running")
+                    }
+                    None => (false, "running"),
+                },
+                Some(j) => (false, j.state.name()),
+                None => (false, "unknown"),
+            }
+        };
+        Json::obj()
+            .field("event", "cancel")
+            .field("job", job)
+            .field("ok", ok)
+            .field("state", state)
     }
 }
 
@@ -693,7 +645,6 @@ pub fn spawn(opts: ServerOptions) -> std::io::Result<ServerHandle> {
         catalog: build_catalog(opts.tiny),
         scale: if opts.tiny { "tiny" } else { "eval" },
         cache: ResultCache::with_metrics(opts.results_dir.clone(), Arc::clone(&faults), &registry),
-        faults,
         journal,
         queue: BoundedQueue::new(opts.queue_capacity),
         jobs: Mutex::new(HashMap::new()),
@@ -738,32 +689,19 @@ pub fn spawn(opts: ServerOptions) -> std::io::Result<ServerHandle> {
             "Running jobs cancelled by the hung-job watchdog.",
         ),
         watchdog_stop: AtomicBool::new(false),
-        peers: Mutex::new(Vec::new()),
-        peer_probes: registry.counter(
-            "wib_serve_peer_probes_total",
-            "Peer-cache probes sent on local misses.",
-        ),
-        peer_hits: registry.counter(
-            "wib_serve_peer_hits_total",
-            "Local cache misses served from a peer's cache.",
-        ),
         telemetry: Telemetry::new(registry),
-        watchers: Mutex::new(HashMap::new()),
-        next_watcher: AtomicU64::new(1),
-        shutting_down: AtomicBool::new(false),
-        finished: Mutex::new(false),
-        finished_cv: Condvar::new(),
-        bound,
+        front: Front::new(Role::Daemon, bound, opts.quiet, Arc::clone(&faults)),
+        faults,
         opts,
     });
-    shared.log(&format!(
+    shared.front.log(&format!(
         "listening on {bound} ({} workers, {} catalog programs, {} suite)",
         workers,
         shared.catalog.len(),
         shared.scale
     ));
     if shared.faults.is_active() {
-        shared.log(&format!(
+        shared.front.log(&format!(
             "fault injection ARMED: {}",
             fault_spec.as_deref().unwrap_or("")
         ));
@@ -820,11 +758,13 @@ fn run_loop(shared: Arc<Shared>, listener: TcpListener) {
                             break; // queue drained: normal exit
                         }
                         let n = shared.worker_restarts.inc_and_get();
-                        shared.log(&format!(
+                        shared.front.log(&format!(
                             "worker {i} panicked outside job isolation; recycling (restart {n})"
                         ));
                         if n >= MAX_WORKER_RESTARTS {
-                            shared.log(&format!("worker {i} exceeded restart budget; retiring"));
+                            shared
+                                .front
+                                .log(&format!("worker {i} exceeded restart budget; retiring"));
                             break;
                         }
                     }
@@ -832,26 +772,7 @@ fn run_loop(shared: Arc<Shared>, listener: TcpListener) {
                 .expect("spawn worker")
         })
         .collect();
-    let mut conn_handles = Vec::new();
-    for stream in listener.incoming() {
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            break;
-        }
-        match stream {
-            Ok(stream) => {
-                let shared = Arc::clone(&shared);
-                let h = std::thread::Builder::new()
-                    .name("wib-serve-conn".to_string())
-                    .spawn(move || handle_conn(shared, stream))
-                    .expect("spawn connection thread");
-                conn_handles.push(h);
-            }
-            Err(e) => {
-                shared.log(&format!("accept error: {e}"));
-            }
-        }
-    }
-    drop(listener);
+    let conns = front::accept(&shared, listener);
     for h in worker_handles {
         h.join().expect("worker thread panicked");
     }
@@ -859,22 +780,8 @@ fn run_loop(shared: Arc<Shared>, listener: TcpListener) {
     if let Some(h) = watchdog_handle {
         h.join().expect("watchdog thread panicked");
     }
-    // Tell watchers the daemon is gone, then drop their channels so
-    // connection writer threads can exit.
-    let farewell = Json::obj()
-        .field("event", "shutdown")
-        .field("completed", shared.completed.get())
-        .field("errors", shared.errors.get())
-        .field("cancelled", shared.cancelled.get());
-    shared.publish(None, &farewell);
-    shared.lock_watchers().clear();
-    // Unblock any connection reader (including the one that requested
-    // the shutdown, waiting in `wait_finished`).
-    shared.mark_finished();
-    for h in conn_handles {
-        h.join().expect("connection thread panicked");
-    }
-    shared.log("stopped");
+    front::close(&*shared, conns);
+    shared.front.log("stopped");
 }
 
 fn worker_loop(shared: &Shared) {
@@ -916,7 +823,7 @@ fn watchdog_loop(shared: &Shared, watchdog_ms: u64) {
         }
         for id in tripped {
             shared.watchdog_hangs.inc();
-            shared.log(&format!(
+            shared.front.log(&format!(
                 "watchdog: job {id} made no engine progress for {watchdog_ms}ms; cancelling"
             ));
         }
@@ -980,7 +887,7 @@ fn run_one_job(shared: &Shared, id: u64) {
                 .telemetry
                 .job_us(&workload, "cancelled")
                 .observe(queue_us);
-            shared.publish(
+            shared.front.publish(
                 tx.as_ref(),
                 &protocol::ev_span(
                     id,
@@ -991,7 +898,9 @@ fn run_one_job(shared: &Shared, id: u64) {
                     queue_us,
                 ),
             );
-            shared.publish(tx.as_ref(), &protocol::ev_cancelled(id));
+            shared
+                .front
+                .publish(tx.as_ref(), &protocol::ev_cancelled(id));
             shared.journal_finished(id, "cancelled");
             return;
         }
@@ -1002,7 +911,7 @@ fn run_one_job(shared: &Shared, id: u64) {
     if let Some(journal) = &shared.journal {
         journal.started(id);
     }
-    shared.publish(tx.as_ref(), &protocol::ev_running(id));
+    shared.front.publish(tx.as_ref(), &protocol::ev_running(id));
     if shared.faults.next_execution_dies() {
         // Node-death fault: take the whole process down — no unwind, no
         // drain, no farewell. The coordinator sees exactly what a
@@ -1012,18 +921,7 @@ fn run_one_job(shared: &Shared, id: u64) {
         std::process::abort();
     }
     let queue_mark = us_since(queued_at);
-    let mut cached_doc = shared.cache.get(&key);
-    let mut peer_sourced = false;
-    if cached_doc.is_none() {
-        if let Some(doc) = fetch_from_peers(&shared, &key) {
-            // Adopt the peer's document as a local entry so the next
-            // hit is local; byte-identity of results across nodes makes
-            // the copy indistinguishable from having simulated here.
-            shared.cache.put(&key, doc.to_string());
-            cached_doc = Some(Arc::new(doc.to_string()));
-            peer_sourced = true;
-        }
-    }
+    let cached_doc = shared.cache.get(&key);
     let lookup_mark = us_since(queued_at);
     // Parse up front: a cached entry that somehow fails to parse is
     // dropped and recomputed rather than trusted (or allowed to panic
@@ -1031,7 +929,7 @@ fn run_one_job(shared: &Shared, id: u64) {
     let cached_json = cached_doc.and_then(|doc| match Json::parse(&doc) {
         Ok(parsed) => Some(parsed),
         Err(e) => {
-            shared.log(&format!(
+            shared.front.log(&format!(
                 "cached document for {key} failed to parse ({e}); recomputing"
             ));
             None
@@ -1039,14 +937,10 @@ fn run_one_job(shared: &Shared, id: u64) {
     });
     let mut ran = false;
     let outcome = if let Some(doc) = cached_json {
-        if !peer_sourced {
-            // Peer serves stay out of the local-hit latency histogram:
-            // they include a network round trip and would skew it.
-            shared
-                .telemetry
-                .cache_hit_us
-                .observe(lookup_mark - queue_mark);
-        }
+        shared
+            .telemetry
+            .cache_hit_us
+            .observe(lookup_mark - queue_mark);
         Outcome::Done { doc, cached: true }
     } else if let Some(workload) = shared.catalog.get(&workload_name) {
         ran = true;
@@ -1060,7 +954,9 @@ fn run_one_job(shared: &Shared, id: u64) {
                 // cancel, a deadline) trips the token. The engine then
                 // starts with an already-tripped token and returns
                 // `cancelled` at its first poll.
-                shared.log(&format!("injected fault: job {id} hanging"));
+                shared
+                    .front
+                    .log(&format!("injected fault: job {id} hanging"));
                 while !token.should_stop() {
                     std::thread::sleep(Duration::from_millis(5));
                 }
@@ -1092,7 +988,9 @@ fn run_one_job(shared: &Shared, id: u64) {
             }
             Ok((doc, r)) => {
                 for sample in r.stats.intervals.iter().take(MAX_STREAMED_INTERVALS) {
-                    shared.publish(tx.as_ref(), &protocol::ev_interval(id, sample));
+                    shared
+                        .front
+                        .publish(tx.as_ref(), &protocol::ev_interval(id, sample));
                 }
                 shared.cache.put(&key, doc.to_string());
                 Outcome::Done { doc, cached: false }
@@ -1148,7 +1046,7 @@ fn run_one_job(shared: &Shared, id: u64) {
         .telemetry
         .job_us(&workload_name, outcome_name)
         .observe(finish_mark);
-    shared.publish(
+    shared.front.publish(
         tx.as_ref(),
         &protocol::ev_span(
             id,
@@ -1162,281 +1060,105 @@ fn run_one_job(shared: &Shared, id: u64) {
     match outcome {
         Outcome::Done { doc, cached } => {
             shared.completed.inc();
-            shared.log(&format!(
+            shared.front.log(&format!(
                 "job {id} {workload_name} done{}",
                 if cached { " (cached)" } else { "" }
             ));
-            shared.publish(tx.as_ref(), &protocol::ev_done(id, cached, doc));
+            shared
+                .front
+                .publish(tx.as_ref(), &protocol::ev_done(id, cached, doc));
         }
         Outcome::Cancelled => {
             shared.cancelled.inc();
-            shared.log(&format!("job {id} {workload_name} cancelled mid-run"));
-            shared.publish(tx.as_ref(), &protocol::ev_cancelled(id));
+            shared
+                .front
+                .log(&format!("job {id} {workload_name} cancelled mid-run"));
+            shared
+                .front
+                .publish(tx.as_ref(), &protocol::ev_cancelled(id));
         }
         Outcome::Hung => {
             shared.errors.inc();
-            shared.log(&format!(
+            shared.front.log(&format!(
                 "job {id} {workload_name} hung: watchdog cancelled it; worker recycled"
             ));
-            shared.publish(
+            shared.front.publish(
                 tx.as_ref(),
                 &protocol::ev_hung(id, &key, "watchdog: no engine progress; job cancelled"),
             );
         }
         Outcome::Failed(msg) => {
             shared.errors.inc();
-            shared.log(&format!("job {id} {workload_name} failed: {msg}"));
-            shared.publish(tx.as_ref(), &protocol::ev_error(id, &key, &msg));
+            shared
+                .front
+                .log(&format!("job {id} {workload_name} failed: {msg}"));
+            shared
+                .front
+                .publish(tx.as_ref(), &protocol::ev_error(id, &key, &msg));
         }
     }
     shared.journal_finished(id, outcome_name);
 }
 
-/// On a local cache miss, probe the peering list (ring successors
-/// installed by the coordinator) for the digest. First hit wins; a
-/// dead or empty peer just falls through — the worst case is a short
-/// bounded delay before simulating locally.
-///
-/// Two budgets bound the pass: [`PEER_BUDGET`] caps the whole loop, and
-/// each individual probe gets at most [`PEER_PROBE_BUDGET`] — so one
-/// hung peer burns a slice of the budget, not all of it, and the
-/// remaining neighbors still get their turn.
-fn fetch_from_peers(shared: &Shared, key: &str) -> Option<Json> {
-    let peers: Vec<String> = shared.lock_peers().clone();
-    let deadline = Instant::now() + PEER_BUDGET;
-    for addr in peers {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            shared.log(&format!("peer budget exhausted before probing {addr}"));
-            break;
-        }
-        shared.peer_probes.inc();
-        match crate::client::cache_fetch(&addr, key, remaining.min(PEER_PROBE_BUDGET)) {
-            Ok(Some(doc)) => {
-                shared.peer_hits.inc();
-                shared.log(&format!("cache miss for {key} served by peer {addr}"));
-                return Some(doc);
-            }
-            Ok(None) => {}
-            Err(e) => shared.log(&format!("peer {addr} probe failed: {e}")),
-        }
+impl Service for Shared {
+    fn front(&self) -> &Front {
+        &self.front
     }
-    None
-}
 
-/// Per-connection dispatch state (what the reader must undo on close).
-#[derive(Default)]
-struct ConnState {
-    /// This connection's watcher registration, if it sent `watch`.
-    watcher_id: Option<u64>,
-}
+    /// The `sick` fault makes this node answer health probes (ping,
+    /// stats, metrics — everything a coordinator uses to judge liveness)
+    /// with an error, while job traffic is untouched: an intermittently
+    /// sick-but-working backend, the exact case the coordinator's
+    /// K-failure policy and rejoin supervisor exist for.
+    fn screen(&self, request: &Request) -> Result<(), String> {
+        if matches!(request, Request::Ping | Request::Stats | Request::Metrics)
+            && self.faults.next_probe_fails()
+        {
+            self.front
+                .log("injected fault: sick node, failing health probe");
+            return Err("injected fault: sick node".to_string());
+        }
+        Ok(())
+    }
 
-fn handle_conn(shared: Arc<Shared>, stream: TcpStream) {
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.to_string())
-        .unwrap_or_else(|_| "?".to_string());
-    if stream.set_read_timeout(Some(READ_TICK)).is_err() {
-        return;
-    }
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    // A peer that stops draining its socket must not pin this thread:
-    // bound every write, and treat timeout like any other write error.
-    let _ = write_half.set_write_timeout(Some(WRITE_TIMEOUT));
-    let (tx, rx) = channel::<String>();
-    let writer_faults = Arc::clone(&shared.faults);
-    let writer = std::thread::Builder::new()
-        .name("wib-serve-writer".to_string())
-        .spawn(move || {
-            let mut out = BufWriter::new(write_half);
-            while let Ok(line) = rx.recv() {
-                match writer_faults.next_client_write() {
-                    WriteFault::None => {}
-                    WriteFault::Delay(ms) => std::thread::sleep(Duration::from_millis(ms)),
-                    WriteFault::Truncate => {
-                        // A peer that vanished mid-line: half the frame,
-                        // then the writer dies.
-                        let _ = out
-                            .write_all(&line.as_bytes()[..line.len() / 2])
-                            .and_then(|()| out.flush());
-                        break;
-                    }
-                }
-                if out
-                    .write_all(line.as_bytes())
-                    .and_then(|()| out.write_all(b"\n"))
-                    .and_then(|()| out.flush())
-                    .is_err()
-                {
-                    break;
-                }
-            }
-        })
-        .expect("spawn writer thread");
-    let mut reader = BufReader::new(stream);
-    let mut acc = String::new();
-    let mut conn = ConnState::default();
-    loop {
-        if shared.is_finished() {
-            break;
-        }
-        match reader.read_line(&mut acc) {
-            Ok(0) => break,
-            Ok(_) => {
-                if !acc.ends_with('\n') {
-                    continue; // partial line before EOF; next read returns 0
-                }
-                let line = acc.trim().to_string();
-                acc.clear();
-                if line.is_empty() {
-                    continue;
-                }
-                if dispatch(&shared, &tx, &mut conn, &line) {
-                    break;
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => break,
+    fn handle(&self, tx: &Sender<String>, request: Request) {
+        let reply = |ev: Json| {
+            let _ = tx.send(ev.to_string());
+        };
+        match request {
+            Request::Stats => reply(self.stats_json()),
+            Request::Metrics => reply(protocol::ev_metrics(&self.metrics_text())),
+            Request::Cancel { job } => reply(self.cancel(job)),
+            Request::Submit {
+                jobs,
+                insts,
+                warmup,
+                deadline_ms,
+            } => submit_batch(self, tx, &jobs, insts, warmup, deadline_ms),
+            // Answered by the front end.
+            Request::Ping
+            | Request::Watch
+            | Request::Shutdown { .. }
+            | Request::Join { .. }
+            | Request::ClusterStats => {}
         }
     }
-    // Undo this connection's watcher registration so workers stop
-    // buffering events for a peer that is gone.
-    if let Some(wid) = conn.watcher_id {
-        shared.lock_watchers().remove(&wid);
-    }
-    shared.log(&format!("connection {peer} closed"));
-    drop(tx);
-    let _ = writer.join();
-}
 
-/// Handle one request line; returns `true` when the connection should
-/// close (after a shutdown request completes).
-fn dispatch(shared: &Arc<Shared>, tx: &Sender<String>, conn: &mut ConnState, line: &str) -> bool {
-    let request = match Request::parse(line) {
-        Ok(r) => r,
-        Err(e) => {
-            let _ = tx.send(protocol::ev_protocol_error(&e).to_string());
-            return false;
-        }
-    };
-    // The `sick` fault makes this node answer health probes (ping,
-    // stats, metrics — everything a coordinator uses to judge liveness)
-    // with an error, while job traffic is untouched: an intermittently
-    // sick-but-working backend, the exact case the coordinator's
-    // K-failure policy and rejoin supervisor exist for.
-    if matches!(request, Request::Ping | Request::Stats | Request::Metrics)
-        && shared.faults.next_probe_fails()
-    {
-        shared.log("injected fault: sick node, failing health probe");
-        let _ = tx.send(protocol::ev_protocol_error("injected fault: sick node").to_string());
-        return false;
+    fn shutdown(&self, drain: bool) {
+        self.begin_shutdown(drain);
     }
-    match request {
-        Request::Ping => {
-            let _ = tx.send(Json::obj().field("event", "pong").to_string());
-        }
-        Request::Stats => {
-            let _ = tx.send(shared.stats_json().to_string());
-        }
-        Request::Metrics => {
-            let _ = tx.send(protocol::ev_metrics(&shared.metrics_text()).to_string());
-        }
-        Request::Watch => {
-            let wid = shared.next_watcher.fetch_add(1, Ordering::Relaxed);
-            shared.lock_watchers().insert(wid, tx.clone());
-            conn.watcher_id = Some(wid);
-            let _ = tx.send(Json::obj().field("event", "watching").to_string());
-        }
-        Request::Cancel { job } => {
-            let (ok, state) = {
-                let mut jobs = shared.lock_jobs();
-                match jobs.get_mut(&job) {
-                    Some(j) if j.state == JobState::Queued && !j.cancelled => {
-                        j.cancelled = true;
-                        (true, "queued")
-                    }
-                    Some(j) if j.state == JobState::Running => match &j.token {
-                        Some(t) => {
-                            // The engine observes this at its next epoch
-                            // boundary; the worker then publishes the
-                            // terminal `cancelled` event.
-                            t.cancel();
-                            (true, "running")
-                        }
-                        None => (false, "running"),
-                    },
-                    Some(j) => (false, j.state.name()),
-                    None => (false, "unknown"),
-                }
-            };
-            let _ = tx.send(
-                Json::obj()
-                    .field("event", "cancel")
-                    .field("job", job)
-                    .field("ok", ok)
-                    .field("state", state)
-                    .to_string(),
-            );
-        }
-        Request::Submit {
-            jobs,
-            insts,
-            warmup,
-            deadline_ms,
-        } => {
-            submit_batch(shared, tx, &jobs, insts, warmup, deadline_ms);
-        }
-        Request::CacheGet { digest } => {
-            // Peer-cache probe: serve our cache read-only, without
-            // touching hit/miss telemetry (the probing node owns the
-            // miss; counting it here too would double-book it).
-            let result = shared
-                .cache
-                .peek(&digest)
-                .and_then(|doc| Json::parse(&doc).ok());
-            let _ = tx.send(protocol::ev_cache_entry(&digest, result).to_string());
-        }
-        Request::Peers { addrs } => {
-            let count = addrs.len();
-            *shared.lock_peers() = addrs;
-            shared.log(&format!("peer list updated: {count} neighbor(s)"));
-            let _ = tx.send(protocol::ev_peers(count).to_string());
-        }
-        Request::Join { .. } | Request::ClusterStats => {
-            let _ = tx.send(
-                protocol::ev_protocol_error(
-                    "coordinator-only op: this is a backend daemon, not a coordinator",
-                )
-                .to_string(),
-            );
-        }
-        Request::Shutdown { drain } => {
-            shared.begin_shutdown(drain);
-            // Wait for the full drain-and-join, then confirm and close.
-            shared.wait_finished();
-            let _ = tx.send(
-                Json::obj()
-                    .field("event", "shutdown")
-                    .field("completed", shared.completed.get())
-                    .field("errors", shared.errors.get())
-                    .field("cancelled", shared.cancelled.get())
-                    .to_string(),
-            );
-            return true;
-        }
+
+    fn farewell(&self) -> Json {
+        protocol::ev_shutdown(
+            self.completed.get(),
+            self.errors.get(),
+            self.cancelled.get(),
+        )
     }
-    false
 }
 
 fn submit_batch(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     tx: &Sender<String>,
     jobs: &[JobRequest],
     batch_insts: Option<u64>,
@@ -1444,7 +1166,7 @@ fn submit_batch(
     batch_deadline: Option<u64>,
 ) {
     for (index, job) in jobs.iter().enumerate() {
-        if shared.shutting_down.load(Ordering::SeqCst) {
+        if shared.front.is_shutting_down() {
             let _ = tx.send(
                 protocol::ev_rejected(index, &job.workload, "server is shutting down").to_string(),
             );
@@ -1511,7 +1233,7 @@ fn submit_batch(
         // `queued` goes out before the enqueue so no worker can emit
         // `running` first; if the push is then refused, the terminal
         // `shed` event (same job id) retracts it.
-        shared.publish(
+        shared.front.publish(
             Some(tx),
             &protocol::ev_queued(id, index, &workload, &spec, &key, &span),
         );
@@ -1531,10 +1253,12 @@ fn submit_batch(
                 shared.shed.inc();
                 let streak = shared.shed_streak.fetch_add(1, Ordering::Relaxed) + 1;
                 let retry_after = shared.retry_after_ms(streak);
-                shared.log(&format!(
+                shared.front.log(&format!(
                     "queue full: shed job {id} {workload} (retry in {retry_after}ms)"
                 ));
-                shared.publish(Some(tx), &protocol::ev_shed(id, &workload, retry_after));
+                shared
+                    .front
+                    .publish(Some(tx), &protocol::ev_shed(id, &workload, retry_after));
             }
             Err(TryPushError::Closed) => {
                 shared.lock_jobs().remove(&id);
@@ -1552,21 +1276,21 @@ fn submit_batch(
 /// with no client connection attached — watchers still see the full
 /// event lifecycle, and the result lands in the cache where the
 /// resubmitting client's retry finds it.
-fn requeue_replayed(shared: &Arc<Shared>, entries: Vec<JournalEntry>) {
+fn requeue_replayed(shared: &Shared, entries: Vec<JournalEntry>) {
     let count = entries.len();
-    shared.log(&format!(
+    shared.front.log(&format!(
         "journal replay: re-queueing {count} incomplete job(s)"
     ));
     for entry in entries {
         let Ok(cfg) = MachineConfig::from_spec(&entry.spec) else {
-            shared.log(&format!(
+            shared.front.log(&format!(
                 "journal replay: dropping job with unparseable spec {:?}",
                 entry.spec
             ));
             continue;
         };
         if !shared.catalog.contains_key(&entry.workload) {
-            shared.log(&format!(
+            shared.front.log(&format!(
                 "journal replay: dropping job for unknown workload {:?}",
                 entry.workload
             ));
@@ -1600,7 +1324,7 @@ fn requeue_replayed(shared: &Arc<Shared>, entries: Vec<JournalEntry>) {
                 ..entry.clone()
             });
         }
-        shared.publish(
+        shared.front.publish(
             None,
             &protocol::ev_queued(id, 0, &entry.workload, &entry.spec, &entry.digest, &span),
         );
@@ -1614,7 +1338,9 @@ fn requeue_replayed(shared: &Arc<Shared>, entries: Vec<JournalEntry>) {
                 // startup — the client's own retry still covers them.
                 shared.lock_jobs().remove(&id);
                 shared.journal_finished(id, "dropped");
-                shared.log(&format!("journal replay: queue full, dropped job {id}"));
+                shared
+                    .front
+                    .log(&format!("journal replay: queue full, dropped job {id}"));
             }
         }
     }

@@ -7,8 +7,6 @@
 //!   same sweep computed in-process;
 //! * killing a backend re-routes its jobs to the survivor and the sweep
 //!   still completes byte-identically;
-//! * a node that misses locally serves its neighbor's cached result
-//!   through cache peering instead of re-simulating;
 //! * `cluster_stats` aggregates per-node counters through one merged
 //!   registry.
 
@@ -163,49 +161,6 @@ fn node_death_reroutes_jobs_to_the_survivor() {
     client::shutdown(&coord_addr, true).expect("cluster shutdown");
     b1.join();
     ch.join();
-}
-
-#[test]
-fn cache_peering_serves_a_neighbors_result_without_resimulating() {
-    let b1 = tiny_server();
-    let b2 = tiny_server();
-    let (a1, a2) = (b1.addr().to_string(), b2.addr().to_string());
-
-    // Warm node 1's cache directly.
-    let jobs = [job("gzip", "base")];
-    let first = client::submit(&a1, &jobs, None, None, None, false).expect("warm b1");
-    let JobStatus::Done { cached, result } = &first[0].status else {
-        panic!("warm-up job failed: {:?}", first[0].status);
-    };
-    assert!(!cached);
-
-    // Tell node 2 that node 1 is its cache peer, then submit the same
-    // point to node 2: it must come back cached (peer-served), with the
-    // identical bytes, and node 2's stats must show the peer hit.
-    client::set_peers(&a2, std::slice::from_ref(&a1)).expect("install peers");
-    let second = client::submit(&a2, &jobs, None, None, None, false).expect("submit to b2");
-    let JobStatus::Done {
-        cached,
-        result: peer_result,
-    } = &second[0].status
-    else {
-        panic!("peered job failed: {:?}", second[0].status);
-    };
-    assert!(*cached, "a peer-served miss must be reported as cached");
-    assert_eq!(result.to_string(), peer_result.to_string());
-
-    let stats = client::stats(&a2).expect("stats");
-    assert_eq!(stats.get("peer_hits").and_then(Json::as_u64), Some(1));
-    assert_eq!(stats.get("peer_probes").and_then(Json::as_u64), Some(1));
-    // The peer serve must not have distorted node 2's hit/miss counts:
-    // the lookup was a miss, served remotely.
-    let cache = stats.get("cache").expect("cache stats");
-    assert_eq!(cache.get("hits").and_then(Json::as_u64), Some(0));
-
-    b1.shutdown(true);
-    b2.shutdown(true);
-    b1.join();
-    b2.join();
 }
 
 #[test]
