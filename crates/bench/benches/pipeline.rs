@@ -42,7 +42,7 @@ fn main() {
     ] {
         let p = Processor::new(cfg);
         let secs = h.bench(name, || {
-            black_box(p.run_program(&program, RunLimit::instructions(INSTS)));
+            black_box(p.run(&program, RunLimit::instructions(INSTS).into()));
         });
         println!(
             "{name:<40} {:>10.2} M simulated insts/s",

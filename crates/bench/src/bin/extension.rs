@@ -50,7 +50,7 @@ fn main() {
         ("wib-loads", MachineConfig::wib_2k()),
         ("wib+fp-ops", MachineConfig::wib_2k().with_long_fp_divert()),
     ] {
-        let r = Processor::new(cfg).run_program(&kernel, RunLimit::instructions(runner.insts));
+        let r = Processor::new(cfg).run(&kernel, RunLimit::instructions(runner.insts).into());
         println!(
             "  {name:<11} IPC {:.3}  (WIB insertions {})",
             r.ipc(),

@@ -14,7 +14,7 @@ fn main() {
         ] {
             let mut p = Processor::new(cfg);
             p.enable_cosim();
-            let r = p.run_program(w.program(), RunLimit::instructions(40_000));
+            let r = p.run(w.program(), RunLimit::instructions(40_000).into());
             println!(
                 "{:>10} {:>7}: {:>7} insts {:>8} cycles ipc {:.3} halted={}",
                 w.name(),

@@ -473,7 +473,7 @@ fn run_one(
         if no_skip {
             p.disable_fast_forward();
         }
-        p.run_program(program, RunLimit::instructions(INSTS_CAP))
+        p.run(program, RunLimit::instructions(INSTS_CAP).into())
     }))
     .map_err(panic_message)
 }
@@ -670,7 +670,7 @@ mod tests {
             });
             // Terminates on the reference machine with room to spare.
             let p = Processor::new(MachineConfig::base_8way());
-            let r = p.run_program(&prog, RunLimit::instructions(INSTS_CAP));
+            let r = p.run(&prog, RunLimit::instructions(INSTS_CAP).into());
             assert!(r.halted, "seed {seed} did not halt");
             assert!(r.stats.committed < INSTS_CAP / 8, "seed {seed} too long");
         }

@@ -17,7 +17,7 @@
 //!   `1` forces the serial path). Results are merged in input order, so
 //!   output is identical for any thread count.
 
-use wib_core::{Json, MachineConfig, Processor, RunLimit, RunResult};
+use wib_core::{Json, MachineConfig, Processor, RunLimit, RunOptions, RunResult};
 use wib_workloads::{Suite, Workload};
 
 pub mod fuzz;
@@ -56,10 +56,12 @@ impl Runner {
 
     /// Run one workload on one machine.
     pub fn run(&self, cfg: &MachineConfig, w: &Workload) -> RunResult {
-        Processor::new(cfg.clone()).run_program_warmed(
+        Processor::new(cfg.clone()).run(
             w.program(),
-            self.warmup,
-            RunLimit::instructions(self.insts),
+            RunOptions {
+                warmup: self.warmup,
+                ..RunLimit::instructions(self.insts).into()
+            },
         )
     }
 }

@@ -17,7 +17,11 @@
 //! instead of a single daemon — same protocol, cluster-wide semantics.
 
 use std::process::ExitCode;
-use wib_core::{Json, MachineConfig, Processor, RunLimit, RunResult, TextSink, WibOrganization};
+use wib_core::trace::Trace;
+use wib_core::{
+    EventSink, Json, MachineConfig, Processor, RunLimit, RunOptions, RunResult, TextSink,
+    WibOrganization,
+};
 use wib_workloads::{eval_suite, test_suite, Workload};
 
 /// Line budget for `--events` logs (~60 bytes/line, so tens of MB).
@@ -412,18 +416,21 @@ fn cmd_run(args: &Args) -> Result<(), ParseError> {
     }
     let insts = args.number("insts", 200_000)?;
     let warmup = args.number("warmup", 200_000)?;
-    let limit = RunLimit::instructions(insts);
+    let mut events = args
+        .option("events")
+        .map(|path| (path, TextSink::new(EVENT_LOG_MAX_LINES)));
     let start = std::time::Instant::now();
-    let result = match args.option("events") {
-        Some(path) => {
-            let mut sink = TextSink::new(EVENT_LOG_MAX_LINES);
-            let r =
-                processor.run_program_warmed_observed(workload.program(), warmup, limit, &mut sink);
-            write_file(&path, &sink.into_text())?;
-            r
-        }
-        None => processor.run_program_warmed(workload.program(), warmup, limit),
-    };
+    let result = processor.run(
+        workload.program(),
+        RunOptions {
+            warmup,
+            limit: RunLimit::instructions(insts),
+            sink: events.as_mut().map(|(_, sink)| sink as &mut dyn EventSink),
+        },
+    );
+    if let Some((path, sink)) = events {
+        write_file(&path, &sink.into_text())?;
+    }
     let wall = start.elapsed().as_secs_f64();
     report::summary(workload.name(), &result, wall);
     if args.flag("stats") {
@@ -509,7 +516,7 @@ fn cmd_exec(args: &Args) -> Result<(), ParseError> {
     }
     let insts = args.number("insts", 1_000_000)?;
     let start = std::time::Instant::now();
-    let result = processor.run_program(&program, RunLimit::instructions(insts));
+    let result = processor.run(&program, RunLimit::instructions(insts).into());
     let wall = start.elapsed().as_secs_f64();
     report::summary(&path, &result, wall);
     if args.flag("stats") {
@@ -530,13 +537,18 @@ fn cmd_trace(args: &Args) -> Result<(), ParseError> {
     let cfg = parse_config(&args.option("config").unwrap_or_else(|| "wib2k".into()))?;
     let limit = args.number("limit", 48)? as usize;
     let insts = args.number("insts", (limit as u64).max(1_000))?;
-    let processor = Processor::new(cfg);
-    let run_limit = RunLimit::instructions(insts);
-    let (result, trace) = if args.flag("tail") {
-        processor.run_program_traced_tail(workload.program(), run_limit, limit)
+    let mut trace = if args.flag("tail") {
+        Trace::new_tail(limit)
     } else {
-        processor.run_program_traced(workload.program(), run_limit, limit)
+        Trace::new(limit)
     };
+    let result = Processor::new(cfg).run(
+        workload.program(),
+        RunOptions {
+            sink: Some(&mut trace),
+            ..RunLimit::instructions(insts).into()
+        },
+    );
     println!(
         "{}: {} {} committed instructions (IPC {:.3}); columns are cycles:",
         workload.name(),

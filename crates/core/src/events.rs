@@ -39,6 +39,8 @@ pub enum PipeEvent {
         pc: u32,
         /// The decoded instruction (disassemble via `Display`).
         inst: Inst,
+        /// Cycle the instruction was fetched.
+        fetched: u64,
     },
     /// An instruction was selected and sent to a functional unit.
     Issue {
@@ -70,6 +72,9 @@ pub enum PipeEvent {
         seq: u64,
         /// Fetch PC.
         pc: u32,
+        /// Times the instruction was parked (WIB insertions, or
+        /// delay-tracking parks, which emit no event of their own).
+        wib_trips: u32,
     },
     /// Every instruction with `seq >= from_seq` was squashed.
     Squash {
@@ -312,7 +317,7 @@ impl EventSink for BoundedSink {
 pub fn format_event(cycle: u64, ev: &PipeEvent) -> String {
     match *ev {
         PipeEvent::Fetch { pc } => format!("{cycle:>10} F  pc={pc:#010x}"),
-        PipeEvent::Dispatch { seq, pc, inst } => {
+        PipeEvent::Dispatch { seq, pc, inst, .. } => {
             format!("{cycle:>10} D  seq={seq} pc={pc:#010x} {inst}")
         }
         PipeEvent::Issue { seq } => format!("{cycle:>10} I  seq={seq}"),
@@ -323,7 +328,7 @@ pub fn format_event(cycle: u64, ev: &PipeEvent) -> String {
             format!("{cycle:>10} W- seq={seq} bank={bank}")
         }
         PipeEvent::Complete { seq } => format!("{cycle:>10} C  seq={seq}"),
-        PipeEvent::Commit { seq, pc } => format!("{cycle:>10} R  seq={seq} pc={pc:#010x}"),
+        PipeEvent::Commit { seq, pc, .. } => format!("{cycle:>10} R  seq={seq} pc={pc:#010x}"),
         PipeEvent::Squash { from_seq, count } => {
             format!("{cycle:>10} X  from={from_seq} count={count}")
         }

@@ -57,16 +57,6 @@ impl IqEntry {
     pub fn is_satisfied(&self) -> bool {
         self.pending == 0
     }
-
-    /// True when satisfied and at least one operand rides a wait bit.
-    pub fn is_pretend(&self) -> bool {
-        self.is_satisfied()
-            && self
-                .srcs
-                .iter()
-                .flatten()
-                .any(|(_, s)| *s == SrcStatus::Wait)
-    }
 }
 
 /// Sentinel for "no slot" in the intrusive links and the index table.
@@ -638,7 +628,7 @@ mod tests {
         );
         q.satisfy(1, PhysReg(2), RegClass::Int, SrcStatus::Wait);
         let e = q.entry(1).unwrap();
-        assert!(e.is_satisfied() && e.is_pretend());
+        assert!(e.is_satisfied() && e.srcs[1].is_some_and(|(_, s)| s == SrcStatus::Wait));
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! # Quick start
 //!
 //! ```
-//! use wib_core::{MachineConfig, Processor, RunLimit};
+//! use wib_core::trace::Trace;
+//! use wib_core::{MachineConfig, Processor, RunLimit, RunOptions};
 //! use wib_isa::asm::ProgramBuilder;
 //! use wib_isa::reg::*;
 //!
@@ -27,8 +28,22 @@
 //! let prog = b.finish()?;
 //!
 //! let base = Processor::new(MachineConfig::base_8way());
-//! let result = base.run_program(&prog, RunLimit::instructions(10_000));
+//! let result = base.run(&prog, RunLimit::instructions(10_000).into());
 //! println!("IPC = {:.2}", result.ipc());
+//!
+//! // Fast-forward 500 instructions on the interpreter, then record the
+//! // pipeline timeline of the first 8 detailed commits.
+//! let mut trace = Trace::new(8);
+//! base.run(
+//!     &prog,
+//!     RunOptions {
+//!         warmup: 500,
+//!         limit: RunLimit::instructions(1_000),
+//!         sink: Some(&mut trace),
+//!     },
+//! );
+//! assert_eq!(trace.len(), 8);
+//! print!("{trace}");
 //! # Ok::<(), wib_isa::asm::AsmError>(())
 //! ```
 //!
@@ -80,7 +95,7 @@ pub use events::{
 pub use hist::{Log2Snapshot, LOG2_BUCKETS};
 pub use json::Json;
 pub use metrics::{Counter, Exposition, Gauge, HistogramMetric, Registry};
-pub use processor::{Processor, RunLimit, RunResult};
+pub use processor::{Processor, RunLimit, RunOptions, RunResult};
 pub use profile::{StageProfile, PROFILE_SAMPLE_PERIOD, STAGE_COUNT, STAGE_NAMES};
 pub use rob::MissKind;
 pub use stats::{IntervalSample, SimStats};

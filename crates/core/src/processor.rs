@@ -27,7 +27,6 @@ use crate::rename::RenameMap;
 use crate::rob::{ActiveList, BranchInfo, MissKind, RobEntry};
 use crate::runahead::RunaheadState;
 use crate::stats::{IntervalSample, SimStats};
-use crate::trace::{InstTrace, Trace};
 use crate::types::{PhysReg, Seq, SrcRef};
 use crate::window::Window;
 use std::cmp::Reverse;
@@ -71,6 +70,33 @@ impl RunLimit {
     }
 }
 
+/// What [`Processor::run`] does: how many instructions to fast-forward
+/// first, how long to simulate in detail, and where pipeline events go.
+///
+/// A bare [`RunLimit`] converts into a cold run with no sink:
+/// `processor.run(&program, RunLimit::instructions(n).into())`.
+pub struct RunOptions<'s> {
+    /// Instructions fast-forwarded on the reference interpreter before
+    /// the detailed run (0 = start the detailed run from reset).
+    pub warmup: u64,
+    /// How long to simulate in detail.
+    pub limit: RunLimit,
+    /// Receives every pipeline event of the detailed run (see
+    /// [`crate::events`]; a [`crate::trace::Trace`] is one such sink).
+    /// Warm-up emits no events.
+    pub sink: Option<&'s mut dyn EventSink>,
+}
+
+impl From<RunLimit> for RunOptions<'_> {
+    fn from(limit: RunLimit) -> Self {
+        RunOptions {
+            warmup: 0,
+            limit,
+            sink: None,
+        }
+    }
+}
+
 /// Outcome of a detailed-simulation run.
 #[derive(Debug, Clone)]
 pub struct RunResult {
@@ -99,8 +125,8 @@ impl RunResult {
 
 /// A configured processor, ready to run programs.
 ///
-/// Each [`Processor::run_program`] call simulates from a cold (or warmed)
-/// machine state; the `Processor` itself is reusable.
+/// Each [`Processor::run`] call simulates from a cold (or warmed) machine
+/// state; the `Processor` itself is reusable.
 #[derive(Debug, Clone)]
 pub struct Processor {
     cfg: MachineConfig,
@@ -175,93 +201,38 @@ impl Processor {
         self
     }
 
-    fn build_engine<'c>(&'c self, program: &Program) -> Engine<'c> {
+    /// Run `program` until `halt` or `opts.limit`.
+    ///
+    /// With `opts.warmup > 0` the reference interpreter first
+    /// fast-forwards that many instructions (warming caches and TLBs;
+    /// predictors are left cold) and the detailed run starts from the
+    /// resulting architectural state — the paper's skip-then-measure
+    /// methodology. A warm-up that reaches `halt` returns a halted result
+    /// with no detailed cycles. With `opts.warmup == 0` the detailed run
+    /// starts from reset.
+    pub fn run(&self, program: &Program, opts: RunOptions<'_>) -> RunResult {
         let mut engine = Engine::new(&self.cfg, program, self.cosim);
         engine.machine_check = self.machine_check;
         engine.no_skip = self.no_skip;
         engine.cancel = self.cancel.clone();
-        engine
+        if opts.warmup > 0 {
+            engine.warm_up(opts.warmup);
+            engine.halted = engine.checker.as_ref().is_some_and(Interpreter::is_halted);
+        }
+        engine.sink = opts.sink.map(|sink| sink as &mut dyn EventSink);
+        engine.run(opts.limit)
     }
 
-    /// Run `program` from reset until `halt` or the limit.
-    pub fn run_program(&self, program: &Program, limit: RunLimit) -> RunResult {
-        let mut engine = self.build_engine(program);
-        engine.run(limit)
-    }
-
-    /// Fast-forward `warmup` instructions on the reference interpreter
-    /// (warming caches, TLBs and predictors are left cold), then run the
-    /// detailed simulation from that architectural state — the paper's
-    /// skip-then-measure methodology.
+    /// [`Processor::run`] after `warmup` fast-forwarded instructions, with
+    /// no event sink.
     pub fn run_program_warmed(&self, program: &Program, warmup: u64, limit: RunLimit) -> RunResult {
-        let mut engine = self.build_engine(program);
-        engine.warm_up(warmup);
-        engine.run(limit)
-    }
-
-    /// Run with pipeline tracing: the lifecycle (fetch / dispatch / issue
-    /// / complete / retire cycles, WIB trips) of the first
-    /// `trace_capacity` committed instructions is captured alongside the
-    /// normal result.
-    pub fn run_program_traced(
-        &self,
-        program: &Program,
-        limit: RunLimit,
-        trace_capacity: usize,
-    ) -> (RunResult, Trace) {
-        self.run_program_with_trace(program, limit, Trace::new(trace_capacity))
-    }
-
-    /// Like [`Processor::run_program_traced`], but the trace is a ring
-    /// buffer keeping the *last* `trace_capacity` committed instructions.
-    pub fn run_program_traced_tail(
-        &self,
-        program: &Program,
-        limit: RunLimit,
-        trace_capacity: usize,
-    ) -> (RunResult, Trace) {
-        self.run_program_with_trace(program, limit, Trace::new_tail(trace_capacity))
-    }
-
-    fn run_program_with_trace(
-        &self,
-        program: &Program,
-        limit: RunLimit,
-        trace: Trace,
-    ) -> (RunResult, Trace) {
-        let mut engine = self.build_engine(program);
-        engine.trace = Some(trace);
-        let result = engine.run(limit);
-        (result, engine.trace.take().expect("installed above"))
-    }
-
-    /// Run with a pipeline event sink attached: every fetch, dispatch,
-    /// issue, WIB insert/extract, completion, commit, squash and cache
-    /// miss is reported to `sink` (see [`crate::events`]).
-    pub fn run_program_observed(
-        &self,
-        program: &Program,
-        limit: RunLimit,
-        sink: &mut dyn EventSink,
-    ) -> RunResult {
-        let mut engine = self.build_engine(program);
-        engine.sink = Some(sink);
-        engine.run(limit)
-    }
-
-    /// [`Processor::run_program_warmed`] with a pipeline event sink
-    /// attached (warm-up itself emits no events).
-    pub fn run_program_warmed_observed(
-        &self,
-        program: &Program,
-        warmup: u64,
-        limit: RunLimit,
-        sink: &mut dyn EventSink,
-    ) -> RunResult {
-        let mut engine = self.build_engine(program);
-        engine.warm_up(warmup);
-        engine.sink = Some(sink);
-        engine.run(limit)
+        self.run(
+            program,
+            RunOptions {
+                warmup,
+                ..limit.into()
+            },
+        )
     }
 }
 
@@ -369,7 +340,6 @@ struct Engine<'c> {
     halted: bool,
     stats: SimStats,
     checker: Option<Interpreter>,
-    trace: Option<Trace>,
     /// Optional pipeline event stream (observability layer).
     sink: Option<&'c mut dyn EventSink>,
     /// CPI-stack bookkeeping: the resource that blocked dispatch this
@@ -379,10 +349,6 @@ struct Engine<'c> {
     recovery_until: u64,
     interval_committed_mark: u64,
     last_commit_cycle: u64,
-    /// `WIB_TRACE` was set at construction. Hoisted so the cycle loop
-    /// never touches the environment (an `env::var` per cycle locks and
-    /// allocates).
-    debug_trace: bool,
     /// Run the machine-check invariants every cycle (see [`crate::check`]).
     /// Forced on by the `checked` cargo feature.
     machine_check: bool,
@@ -506,13 +472,11 @@ impl<'c> Engine<'c> {
                 ..SimStats::default()
             },
             checker: cosim.then(|| Interpreter::new(program)),
-            trace: None,
             sink: None,
             dispatch_block: None,
             recovery_until: 0,
             interval_committed_mark: 0,
             last_commit_cycle: 0,
-            debug_trace: std::env::var("WIB_TRACE").is_ok(),
             machine_check: false,
             no_skip: false,
             cancel: None,
@@ -1202,10 +1166,6 @@ impl<'c> Engine<'c> {
                 in_sq: f.inst.is_store(),
                 dir_wrong: false,
                 branch: f.branch,
-                cycle_fetch: f.fetched_at,
-                cycle_dispatch: self.now,
-                cycle_issue: 0,
-                cycle_complete: 0,
                 hist_before: f.hist_before,
                 ras_before: f.ras_before,
             };
@@ -1221,7 +1181,6 @@ impl<'c> Engine<'c> {
             } else {
                 // nop/halt/j complete in the front end; jal also links.
                 entry.completed = true;
-                entry.cycle_complete = self.now;
                 if let Some((arch, p, _)) = entry.dest {
                     let link = exec::alu_result(&f.inst, 0, 0, f.pc).expect("jal links");
                     self.writeback(arch.class(), p, link);
@@ -1234,6 +1193,7 @@ impl<'c> Engine<'c> {
                 seq,
                 pc: f.pc,
                 inst: f.inst,
+                fetched: f.fetched_at,
             });
             if front_end_complete {
                 self.emit(PipeEvent::Complete { seq });
@@ -1286,12 +1246,7 @@ impl<'c> Engine<'c> {
                 ra.poisoned_stores.insert(seq);
             }
         }
-        {
-            let e = self.rob.get_mut(seq).expect("live");
-            e.completed = true;
-            e.cycle_complete = self.now;
-        }
-        self.emit(PipeEvent::Complete { seq });
+        self.mark_complete(seq);
         // Loads that found this store's data missing can retry.
         self.retry_loads_blocked_on(seq);
     }
@@ -1530,11 +1485,7 @@ impl<'c> Engine<'c> {
                     &mut self.iq_int
                 };
                 iq.remove(seq);
-                {
-                    let e = self.rob.get_mut(seq).expect("live");
-                    e.issued = true;
-                    e.cycle_issue = self.now;
-                }
+                self.rob.get_mut(seq).expect("live").issued = true;
                 self.stats.issued += 1;
                 self.emit(PipeEvent::Issue { seq });
                 let exec_start = self.now + 1 + rf_penalty; // register read
@@ -1578,6 +1529,12 @@ impl<'c> Engine<'c> {
         }
     }
 
+    /// Mark the live instruction `seq` complete and report it.
+    fn mark_complete(&mut self, seq: Seq) {
+        self.rob.get_mut(seq).expect("live").completed = true;
+        self.emit(PipeEvent::Complete { seq });
+    }
+
     fn handle_complete(&mut self, seq: Seq) {
         let Some(e) = self.rob.get(seq) else { return };
         let inst = e.inst;
@@ -1600,10 +1557,7 @@ impl<'c> Engine<'c> {
             if inv_a || inv_b {
                 // A branch on garbage: keep the predicted path rather than
                 // resolving on an invalid value (Mutlu: predict and go).
-                let e = self.rob.get_mut(seq).expect("live");
-                e.completed = true;
-                e.cycle_complete = self.now;
-                self.emit(PipeEvent::Complete { seq });
+                self.mark_complete(seq);
                 return;
             }
             let taken = exec::branch_taken(&inst, a, b);
@@ -1619,13 +1573,8 @@ impl<'c> Engine<'c> {
             if taken {
                 self.btb.update(pc, actual_next);
             }
-            {
-                let e = self.rob.get_mut(seq).expect("live");
-                e.completed = true;
-                e.cycle_complete = self.now;
-                e.dir_wrong = dir_wrong;
-            }
-            self.emit(PipeEvent::Complete { seq });
+            self.rob.get_mut(seq).expect("live").dir_wrong = dir_wrong;
+            self.mark_complete(seq);
             if actual_next != bi.pred_next {
                 self.squash_redirect(seq, actual_next, &bi, dir_wrong);
             }
@@ -1636,10 +1585,7 @@ impl<'c> Engine<'c> {
                     let link = exec::alu_result(&inst, a, b, pc).expect("jalr links");
                     self.writeback(arch.class(), p, link);
                 }
-                let e = self.rob.get_mut(seq).expect("live");
-                e.completed = true;
-                e.cycle_complete = self.now;
-                self.emit(PipeEvent::Complete { seq });
+                self.mark_complete(seq);
                 return;
             }
             let actual_next = exec::control_target(&inst, pc, a);
@@ -1648,12 +1594,7 @@ impl<'c> Engine<'c> {
                 self.writeback(arch.class(), p, link);
             }
             self.btb.update(pc, actual_next);
-            {
-                let e = self.rob.get_mut(seq).expect("live");
-                e.completed = true;
-                e.cycle_complete = self.now;
-            }
-            self.emit(PipeEvent::Complete { seq });
+            self.mark_complete(seq);
             let bi = branch.expect("branch info recorded at fetch");
             if actual_next != bi.pred_next {
                 self.stats.target_mispredicts += 1;
@@ -1677,17 +1618,11 @@ impl<'c> Engine<'c> {
             match srcs[1] {
                 None => {
                     self.lsq.set_store_data(seq, 0); // r0 data
-                    let e = self.rob.get_mut(seq).expect("live");
-                    e.completed = true;
-                    e.cycle_complete = self.now;
-                    self.emit(PipeEvent::Complete { seq });
+                    self.mark_complete(seq);
                 }
                 Some(s) if self.rf(s.class).is_ready(s.preg) => {
                     self.lsq.set_store_data(seq, b);
-                    let e = self.rob.get_mut(seq).expect("live");
-                    e.completed = true;
-                    e.cycle_complete = self.now;
-                    self.emit(PipeEvent::Complete { seq });
+                    self.mark_complete(seq);
                 }
                 Some(s) => {
                     self.rf_mut(s.class).subscribe(s.preg, seq);
@@ -1713,11 +1648,8 @@ impl<'c> Engine<'c> {
                     .set(arch.class(), p, true);
             }
             let result = exec::alu_result(&inst, a, b, pc);
-            let e = self.rob.get_mut(seq).expect("live");
-            e.completed = true;
-            e.cycle_complete = self.now;
-            let column = e.miss_column; // long-FP-op diversion, if enabled
-            self.emit(PipeEvent::Complete { seq });
+            self.mark_complete(seq);
+            let column = self.rob.get(seq).expect("live").miss_column; // long-FP-op diversion, if enabled
             if let (Some((arch, p, _)), Some(v)) = (dest, result) {
                 self.writeback(arch.class(), p, v);
             }
@@ -1911,7 +1843,6 @@ impl<'c> Engine<'c> {
             return;
         };
         e.completed = true;
-        e.cycle_complete = self.now;
         let dest = e.dest;
         let column = e.miss_column;
         let was_miss = e.miss_kind.is_some();
@@ -2087,23 +2018,11 @@ impl<'c> Engine<'c> {
                     .wib_max_insertions_per_inst
                     .max(e.wib_trips as u64);
             }
-            if let Some(trace) = &mut self.trace {
-                trace.push(InstTrace {
-                    seq: e.seq,
-                    pc: e.pc,
-                    text: e.inst.to_string(),
-                    fetch: e.cycle_fetch,
-                    dispatch: e.cycle_dispatch,
-                    issue: e.issued.then_some(e.cycle_issue),
-                    complete: e.cycle_complete,
-                    commit: self.now,
-                    wib_trips: e.wib_trips,
-                });
-            }
             self.stats.committed += 1;
             self.emit(PipeEvent::Commit {
                 seq: e.seq,
                 pc: e.pc,
+                wib_trips: e.wib_trips,
             });
             if e.inst.is_halt() {
                 self.halted = true;
@@ -2276,7 +2195,7 @@ impl<'c> Engine<'c> {
     /// watchdog deadline, the run limit (`budget`), or a stats-epoch
     /// boundary (the run loop samples an interval exactly there).
     fn try_skip(&mut self, budget: u64) -> u64 {
-        if self.debug_trace || self.no_skip || self.halted {
+        if self.no_skip || self.halted {
             return 0;
         }
         // Runahead is never quiescent under a miss — the stall is exactly
@@ -2397,36 +2316,6 @@ impl<'c> Engine<'c> {
     }
 
     fn step(&mut self) {
-        if self.debug_trace && self.now == 20_000 {
-            eprintln!(
-                "cyc {}: iqi={} iqf={} rob={} wib={:?}",
-                self.now,
-                self.iq_int.len(),
-                self.iq_fp.len(),
-                self.rob.len(),
-                self.wib.as_ref().map(Window::resident)
-            );
-            for (name, q) in [("int", &self.iq_int), ("fp", &self.iq_fp)] {
-                for (seq, e) in q.dump().into_iter().take(40) {
-                    let rob = self.rob.get(seq);
-                    eprintln!(
-                        "  {name} {seq} {:?} sat={} pret={} srcs={:?} rf={:?}",
-                        rob.map(|r| r.inst.to_string()),
-                        e.is_satisfied(),
-                        e.is_pretend(),
-                        e.srcs,
-                        e.srcs
-                            .iter()
-                            .flatten()
-                            .map(|(s, _)| (
-                                self.rf(s.class).is_ready(s.preg),
-                                self.rf(s.class).wait_column(s.preg)
-                            ))
-                            .collect::<Vec<_>>()
-                    );
-                }
-            }
-        }
         // Stage profiling samples one cycle in PROFILE_SAMPLE_PERIOD: a
         // monotonic-clock lap after each stage, nothing on the other 1023
         // cycles (the mask test and a dead branch). No allocation either
@@ -2784,7 +2673,7 @@ mod tests {
     fn run_cosim(cfg: MachineConfig, prog: &Program, n: u64) -> RunResult {
         let mut p = Processor::new(cfg);
         p.enable_cosim();
-        p.run_program(prog, RunLimit::instructions(n))
+        p.run(prog, RunLimit::instructions(n).into())
     }
 
     fn sum_loop() -> Program {
@@ -2990,10 +2879,10 @@ mod tests {
         b.j("spin");
         let prog = b.finish().unwrap();
         let p = Processor::new(MachineConfig::base_8way());
-        let r = p.run_program(&prog, RunLimit::instructions(5_000));
+        let r = p.run(&prog, RunLimit::instructions(5_000).into());
         assert!(!r.halted);
         assert!(r.stats.committed >= 5_000);
-        let r = p.run_program(&prog, RunLimit::cycles(1_000));
+        let r = p.run(&prog, RunLimit::cycles(1_000).into());
         assert_eq!(r.stats.cycles, 1_000);
     }
 
@@ -3011,13 +2900,13 @@ mod tests {
         token.cancel();
         let mut p = Processor::new(cfg.clone());
         p.set_cancel_token(token);
-        let r = p.run_program(&prog, RunLimit::cycles(1_000_000));
+        let r = p.run(&prog, RunLimit::cycles(1_000_000).into());
         assert!(r.cancelled && !r.halted);
         assert_eq!(r.stats.cycles, 1_000, "stop lands on the epoch boundary");
         // An untripped token changes nothing, and `cancelled` stays false.
         let mut p = Processor::new(cfg);
         p.set_cancel_token(crate::cancel::CancelToken::new());
-        let r = p.run_program(&prog, RunLimit::instructions(5_000));
+        let r = p.run(&prog, RunLimit::instructions(5_000).into());
         assert!(!r.cancelled && r.stats.committed >= 5_000);
     }
 
@@ -3054,6 +2943,28 @@ mod tests {
         assert!(r.halted);
         // 50 instructions were skipped; the detailed run commits the rest.
         assert!(r.stats.committed < 400);
+    }
+
+    #[test]
+    fn warm_up_past_halt_returns_a_halted_result() {
+        let mut b = ProgramBuilder::new(0x1000);
+        b.addi(R1, R0, 7);
+        b.addi(R2, R1, 1);
+        b.add(R3, R1, R2);
+        b.halt();
+        let prog = b.finish().unwrap();
+        for cosim in [false, true] {
+            let mut p = Processor::new(MachineConfig::base_8way());
+            if cosim {
+                p.enable_cosim();
+            }
+            // Warmed up to exactly the `halt`, and far past it.
+            for warmup in [prog.len() as u64, 1_000] {
+                let r = p.run_program_warmed(&prog, warmup, RunLimit::instructions(1_000));
+                assert!(r.halted && !r.cancelled, "cosim {cosim}, warm-up {warmup}");
+                assert_eq!((r.stats.cycles, r.stats.committed), (0, 0));
+            }
+        }
     }
 
     #[test]
@@ -3098,8 +3009,8 @@ mod tests {
             let mut slow = Processor::new(cfg);
             slow.enable_cosim().disable_fast_forward();
             let limit = RunLimit::instructions(10_000);
-            let a = fast.run_program(&prog, limit);
-            let b = slow.run_program(&prog, limit);
+            let a = fast.run(&prog, limit.into());
+            let b = slow.run(&prog, limit.into());
             let key = |r: &RunResult| {
                 (
                     r.stats.cycles,
@@ -3152,7 +3063,7 @@ mod tests {
         ] {
             let mut p = Processor::new(cfg);
             p.enable_cosim().enable_machine_check();
-            let r = p.run_program(&prog, RunLimit::instructions(10_000));
+            let r = p.run(&prog, RunLimit::instructions(10_000).into());
             assert!(r.halted);
         }
     }

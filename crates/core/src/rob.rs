@@ -80,14 +80,6 @@ pub struct RobEntry {
     pub dir_wrong: bool,
     /// Control-flow info (control instructions only).
     pub branch: Option<BranchInfo>,
-    /// Cycle fetched (pipeline tracing).
-    pub cycle_fetch: u64,
-    /// Cycle dispatched (pipeline tracing).
-    pub cycle_dispatch: u64,
-    /// Cycle issued, 0 if front-end completed (pipeline tracing).
-    pub cycle_issue: u64,
-    /// Cycle completed (pipeline tracing).
-    pub cycle_complete: u64,
     /// Global branch history before this instruction was fetched (squash
     /// repair for replays that start at an arbitrary instruction).
     pub hist_before: u32,
@@ -323,10 +315,6 @@ mod tests {
             in_sq: false,
             dir_wrong: false,
             branch: None,
-            cycle_fetch: 0,
-            cycle_dispatch: 0,
-            cycle_issue: 0,
-            cycle_complete: 0,
             hist_before: 0,
             ras_before: Ras::new(4).checkpoint(),
         }

@@ -1,26 +1,35 @@
 //! Per-instruction pipeline tracing.
 //!
-//! When enabled (see [`crate::Processor::run_program_traced`]), the engine
-//! records the cycle at which every *committed* instruction passed each
-//! pipeline milestone, plus its WIB trips — enough to render a
-//! pipeview-style timeline and to see chains parking and reinserting.
+//! A [`Trace`] is an [`EventSink`]: attach it as the run's sink (see
+//! [`crate::processor::RunOptions`]) and it records the cycle at which
+//! every *committed* instruction passed each pipeline milestone, plus its
+//! WIB trips — enough to render a pipeview-style timeline and to see
+//! chains parking and reinserting.
+//!
+//! Each record is built from the `Dispatch`, `Issue`, `Complete` and
+//! `Commit` events of one sequence number; a repeated `Issue` or
+//! `Complete` keeps the last cycle. Runahead's pseudo-retired
+//! instructions end in neither a `Commit` nor a `Squash`, so a commit
+//! drops every older record still pending.
 //!
 //! Two capture modes: keep the **first** `capacity` commits (startup
 //! behavior), or keep the **last** `capacity` as a ring buffer (steady
 //! state / end-of-run behavior; see [`Trace::new_tail`]).
 
+use crate::events::{EventSink, PipeEvent};
 use std::collections::VecDeque;
 use std::fmt;
+use wib_isa::inst::Inst;
 
 /// Lifecycle of one committed instruction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct InstTrace {
     /// Dynamic sequence number.
     pub seq: u64,
     /// Fetch PC.
     pub pc: u32,
-    /// Disassembled text.
-    pub text: String,
+    /// The instruction (disassemble via `Display`).
+    pub inst: Inst,
     /// Cycle fetched.
     pub fetch: u64,
     /// Cycle renamed/dispatched into the window.
@@ -52,6 +61,8 @@ pub struct Trace {
     capacity: usize,
     mode: TraceMode,
     dropped: u64,
+    /// Dispatched, not yet committed or squashed; ascending `seq`.
+    pending: VecDeque<InstTrace>,
 }
 
 impl Default for Trace {
@@ -68,6 +79,7 @@ impl Trace {
             capacity,
             mode: TraceMode::Head,
             dropped: 0,
+            pending: VecDeque::new(),
         }
     }
 
@@ -79,11 +91,12 @@ impl Trace {
             capacity,
             mode: TraceMode::Tail,
             dropped: 0,
+            pending: VecDeque::new(),
         }
     }
 
     /// Record one commit.
-    pub fn push(&mut self, record: InstTrace) {
+    fn push(&mut self, record: InstTrace) {
         match self.mode {
             TraceMode::Head => {
                 if self.records.len() < self.capacity {
@@ -130,6 +143,61 @@ impl Trace {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
+
+    fn pending_mut(&mut self, seq: u64) -> Option<&mut InstTrace> {
+        let i = self.pending.binary_search_by_key(&seq, |p| p.seq).ok()?;
+        self.pending.get_mut(i)
+    }
+}
+
+impl EventSink for Trace {
+    fn emit(&mut self, cycle: u64, ev: &PipeEvent) {
+        match *ev {
+            PipeEvent::Dispatch {
+                seq,
+                pc,
+                inst,
+                fetched,
+            } => self.pending.push_back(InstTrace {
+                seq,
+                pc,
+                inst,
+                fetch: fetched,
+                dispatch: cycle,
+                issue: None,
+                complete: 0,
+                commit: 0,
+                wib_trips: 0,
+            }),
+            PipeEvent::Issue { seq } => {
+                if let Some(p) = self.pending_mut(seq) {
+                    p.issue = Some(cycle);
+                }
+            }
+            PipeEvent::Complete { seq } => {
+                if let Some(p) = self.pending_mut(seq) {
+                    p.complete = cycle;
+                }
+            }
+            PipeEvent::Squash { from_seq, .. } => {
+                while self.pending.back().is_some_and(|p| p.seq >= from_seq) {
+                    self.pending.pop_back();
+                }
+            }
+            PipeEvent::Commit { seq, wib_trips, .. } => {
+                while self.pending.front().is_some_and(|p| p.seq < seq) {
+                    self.pending.pop_front();
+                }
+                if self.pending.front().is_some_and(|p| p.seq == seq) {
+                    let mut record = self.pending.pop_front().expect("checked");
+                    record.commit = cycle;
+                    record.wib_trips = wib_trips;
+                    self.push(record);
+                }
+            }
+            _ => {}
+        }
+    }
 }
 
 impl fmt::Display for Trace {
@@ -148,7 +216,7 @@ impl fmt::Display for Trace {
                 "{:>6} {:>#10x}  {:<28} {:>8} {:>8} {:>8} {:>8} {:>8} {:>5}",
                 r.seq,
                 r.pc,
-                r.text,
+                r.inst.to_string(),
                 r.fetch,
                 r.dispatch,
                 match r.issue {
@@ -176,7 +244,7 @@ mod tests {
         InstTrace {
             seq,
             pc: 0x1000,
-            text: "add r1, r2, r3".into(),
+            inst: Inst::NOP,
             fetch: 1,
             dispatch: 3,
             issue: Some(4),
@@ -220,7 +288,7 @@ mod tests {
         front_end.wib_trips = 0;
         t.push(front_end);
         let s = t.to_string();
-        assert!(s.contains("add r1, r2, r3"));
+        assert!(s.contains("nop"));
         assert!(s.contains("x2"));
         assert!(
             s.contains(" - "),

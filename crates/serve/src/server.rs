@@ -555,9 +555,25 @@ pub fn compute_result(
     warmup: u64,
     scale: &str,
 ) -> Json {
-    let runner = Runner { warmup, insts };
-    let r = runner.run(cfg, workload);
-    result_doc(workload, cfg, insts, warmup, scale, &r)
+    simulate(workload, cfg, insts, warmup, scale, None).0
+}
+
+/// Simulate one job and render its result document, stopping early if
+/// `token` trips. Shared by [`compute_result`] and the daemon's workers.
+fn simulate(
+    workload: &Workload,
+    cfg: &MachineConfig,
+    insts: u64,
+    warmup: u64,
+    scale: &str,
+    token: Option<&CancelToken>,
+) -> (Json, RunResult) {
+    let mut proc = Processor::new(cfg.clone());
+    if let Some(token) = token {
+        proc.set_cancel_token(token.clone());
+    }
+    let r = proc.run_program_warmed(workload.program(), warmup, RunLimit::instructions(insts));
+    (result_doc(workload, cfg, insts, warmup, scale, &r), r)
 }
 
 /// Validate one submitted job against a workload catalog and resolve its
@@ -961,12 +977,7 @@ fn run_one_job(shared: &Shared, id: u64) {
                     std::thread::sleep(Duration::from_millis(5));
                 }
             }
-            let mut proc = Processor::new(cfg.clone());
-            proc.set_cancel_token(token.clone());
-            let r =
-                proc.run_program_warmed(workload.program(), warmup, RunLimit::instructions(insts));
-            let doc = result_doc(workload, &cfg, insts, warmup, shared.scale, &r);
-            (doc, r)
+            simulate(workload, &cfg, insts, warmup, shared.scale, Some(&token))
         }));
         // Engine self-profiling rides every completed simulation,
         // cancelled or not (host telemetry, never part of the result).

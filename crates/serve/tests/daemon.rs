@@ -113,6 +113,30 @@ fn daemon_results_match_in_process_byte_for_byte() {
     handle.join(); // would hang forever if any thread leaked
 }
 
+/// A job whose warm-up runs past the kernel's `halt` comes back as a
+/// halted result, both in-process and from a daemon worker.
+#[test]
+fn a_warm_up_past_halt_is_a_halted_result() {
+    let catalog = build_catalog(true);
+    let cfg = wib_core::MachineConfig::base_8way();
+    let warmup = 100_000_000;
+    let local = compute_result(&catalog["treeadd"], &cfg, 1_000, warmup, "tiny");
+    assert_eq!(local.get("halted"), Some(&Json::Bool(true)));
+
+    let handle = tiny_server(1, 4);
+    let addr = handle.addr().to_string();
+    let mut j = job("treeadd", "base");
+    j.insts = Some(1_000);
+    j.warmup = Some(warmup);
+    let outcomes = client::submit(&addr, &[j], None, None, None, false).expect("submit");
+    let JobStatus::Done { result, .. } = &outcomes[0].status else {
+        panic!("job did not finish: {:?}", outcomes[0].status);
+    };
+    assert_eq!(result.to_string(), local.to_string());
+    client::shutdown(&addr, true).expect("shutdown");
+    handle.join();
+}
+
 #[test]
 fn equivalent_spec_spellings_share_one_cache_entry() {
     let handle = tiny_server(1, 8);

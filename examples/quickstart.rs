@@ -27,8 +27,8 @@ fn main() {
     let program = b.finish().expect("assembles");
 
     let limit = RunLimit::instructions(50_000);
-    let base = Processor::new(MachineConfig::base_8way()).run_program(&program, limit);
-    let wib = Processor::new(MachineConfig::wib_2k()).run_program(&program, limit);
+    let base = Processor::new(MachineConfig::base_8way()).run(&program, limit.into());
+    let wib = Processor::new(MachineConfig::wib_2k()).run(&program, limit.into());
 
     println!("base machine (32-entry issue queue, 128-entry window):");
     println!(

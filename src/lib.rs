@@ -22,10 +22,10 @@
 //! // Build a pointer-chasing workload and run it on the paper's
 //! // base machine and on the WIB machine.
 //! let program = suite::olden::treeadd(12, 1).build();
-//! let base = Processor::new(MachineConfig::base_8way()).run_program(
-//!     &program, RunLimit::instructions(20_000));
-//! let wib = Processor::new(MachineConfig::wib_2k()).run_program(
-//!     &program, RunLimit::instructions(20_000));
+//! let base = Processor::new(MachineConfig::base_8way()).run(
+//!     &program, RunLimit::instructions(20_000).into());
+//! let wib = Processor::new(MachineConfig::wib_2k()).run(
+//!     &program, RunLimit::instructions(20_000).into());
 //! assert!(wib.ipc() > 0.0 && base.ipc() > 0.0);
 //! ```
 

@@ -33,7 +33,7 @@ fn checked_cosim(cfg: MachineConfig, program: &Program, insts: u64) -> RunResult
     // `--features checked` (the offline gate's dedicated release phase —
     // they are an order of magnitude too slow for the debug tier).
     p.enable_cosim();
-    p.run_program(program, RunLimit::instructions(insts))
+    p.run(program, RunLimit::instructions(insts).into())
 }
 
 /// Independent streaming loads, one DRAM miss per iteration: the regime

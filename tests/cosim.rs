@@ -13,7 +13,7 @@ use wib_rng::StdRng;
 fn cosim(cfg: MachineConfig, program: &Program, insts: u64) -> wib::core::RunResult {
     let mut p = Processor::new(cfg);
     p.enable_cosim();
-    p.run_program(program, RunLimit::instructions(insts))
+    p.run(program, RunLimit::instructions(insts).into())
 }
 
 #[test]

@@ -61,7 +61,7 @@ fn fingerprint(bench: &str, cname: &str, cfg: &MachineConfig) -> String {
         .find(|w| w.name() == bench)
         .expect("known workload");
     let result =
-        Processor::new(cfg.clone()).run_program(workload.program(), RunLimit::instructions(INSTS));
+        Processor::new(cfg.clone()).run(workload.program(), RunLimit::instructions(INSTS).into());
     Json::obj()
         .field("schema", "wib-sim/cycle-identity-v1")
         .field("benchmark", bench)

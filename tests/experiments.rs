@@ -7,7 +7,7 @@ use wib::workloads::suite::{fp, olden};
 
 fn ipc(cfg: MachineConfig, program: &wib::isa::program::Program, insts: u64) -> f64 {
     Processor::new(cfg)
-        .run_program(program, RunLimit::instructions(insts))
+        .run(program, RunLimit::instructions(insts).into())
         .ipc()
 }
 
@@ -100,7 +100,7 @@ fn recycling_statistics_are_collected() {
     // instructions should take more than one WIB trip.
     let w = fp::mgrid(16, 4);
     let r = Processor::new(MachineConfig::wib_2k())
-        .run_program(w.program(), RunLimit::instructions(30_000));
+        .run(w.program(), RunLimit::instructions(30_000).into());
     assert!(r.stats.wib_insertions > 0, "mgrid never used the WIB");
     assert!(
         r.stats.wib_insertions_committed >= r.stats.wib_touched_insts,
@@ -132,8 +132,8 @@ fn sensitivity_shorter_memory_latency_shrinks_the_gain() {
 fn runs_are_deterministic() {
     let w = olden::treeadd(8, 2);
     let cfg = MachineConfig::wib_2k();
-    let a = Processor::new(cfg.clone()).run_program(w.program(), RunLimit::instructions(20_000));
-    let b = Processor::new(cfg).run_program(w.program(), RunLimit::instructions(20_000));
+    let a = Processor::new(cfg.clone()).run(w.program(), RunLimit::instructions(20_000).into());
+    let b = Processor::new(cfg).run(w.program(), RunLimit::instructions(20_000).into());
     assert_eq!(a.stats.cycles, b.stats.cycles);
     assert_eq!(a.stats.committed, b.stats.committed);
     assert_eq!(a.stats.wib_insertions, b.stats.wib_insertions);
@@ -143,7 +143,7 @@ fn runs_are_deterministic() {
 fn table2_statistics_are_sane() {
     for w in wib::workloads::test_suite() {
         let r = Processor::new(MachineConfig::base_8way())
-            .run_program(w.program(), RunLimit::instructions(10_000));
+            .run(w.program(), RunLimit::instructions(10_000).into());
         let s = &r.stats;
         assert!(
             s.ipc() > 0.0 && s.ipc() <= 8.0,

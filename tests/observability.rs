@@ -3,9 +3,10 @@
 //! count, the interval time-series has the promised cadence, and the JSON
 //! export keeps a stable schema (key order is part of the contract).
 
+use wib::core::trace::Trace;
 use wib::core::{
-    CountingSink, CpiCategory, EventKind, MachineConfig, Processor, RunLimit, RunResult, TextSink,
-    CPI_CATEGORIES,
+    CountingSink, CpiCategory, EventKind, MachineConfig, Processor, RunLimit, RunOptions,
+    RunResult, TextSink, CPI_CATEGORIES,
 };
 use wib::isa::program::Program;
 
@@ -14,7 +15,7 @@ fn em3d() -> wib::workloads::Workload {
 }
 
 fn run(cfg: MachineConfig, p: &Program, n: u64) -> RunResult {
-    Processor::new(cfg).run_program(p, RunLimit::instructions(n))
+    Processor::new(cfg).run(p, RunLimit::instructions(n).into())
 }
 
 /// Every cycle lands in exactly one CPI category, so the stack totals the
@@ -63,7 +64,13 @@ fn counting_sink_agrees_with_sim_stats() {
     for cfg in [MachineConfig::base_8way(), MachineConfig::wib_2k()] {
         let mut sink = CountingSink::new();
         let p = Processor::new(cfg);
-        let r = p.run_program_observed(em3d().program(), RunLimit::instructions(20_000), &mut sink);
+        let r = p.run(
+            em3d().program(),
+            RunOptions {
+                sink: Some(&mut sink),
+                ..RunLimit::instructions(20_000).into()
+            },
+        );
         assert_eq!(sink.count(EventKind::Fetch), r.stats.fetched);
         assert_eq!(sink.count(EventKind::Dispatch), r.stats.dispatched);
         assert_eq!(sink.count(EventKind::Issue), r.stats.issued);
@@ -86,7 +93,13 @@ fn counting_sink_agrees_with_sim_stats() {
 fn banked_wib_traffic_is_per_bank() {
     let mut sink = CountingSink::new();
     let p = Processor::new(MachineConfig::wib_2k());
-    let r = p.run_program_observed(em3d().program(), RunLimit::instructions(20_000), &mut sink);
+    let r = p.run(
+        em3d().program(),
+        RunOptions {
+            sink: Some(&mut sink),
+            ..RunLimit::instructions(20_000).into()
+        },
+    );
     assert!(r.stats.wib_insertions > 0, "kernel must exercise the WIB");
     let inserted: u64 = sink.bank_inserts().iter().sum();
     assert_eq!(inserted, r.stats.wib_insertions);
@@ -193,7 +206,13 @@ fn stats_json_schema_is_stable() {
 fn text_event_log_is_pipeview_shaped() {
     let mut sink = TextSink::new(2_000);
     let p = Processor::new(MachineConfig::wib_2k());
-    p.run_program_observed(em3d().program(), RunLimit::instructions(2_000), &mut sink);
+    p.run(
+        em3d().program(),
+        RunOptions {
+            sink: Some(&mut sink),
+            ..RunLimit::instructions(2_000).into()
+        },
+    );
     let seen = sink.events_seen();
     assert!(
         seen > 2_000,
@@ -213,10 +232,15 @@ fn text_event_log_is_pipeview_shaped() {
 #[test]
 fn observed_run_is_deterministically_identical() {
     let p = Processor::new(MachineConfig::wib_2k());
-    let plain = p.run_program(em3d().program(), RunLimit::instructions(10_000));
+    let plain = p.run(em3d().program(), RunLimit::instructions(10_000).into());
     let mut sink = CountingSink::new();
-    let observed =
-        p.run_program_observed(em3d().program(), RunLimit::instructions(10_000), &mut sink);
+    let observed = p.run(
+        em3d().program(),
+        RunOptions {
+            sink: Some(&mut sink),
+            ..RunLimit::instructions(10_000).into()
+        },
+    );
     assert_eq!(plain.stats.cycles, observed.stats.cycles);
     assert_eq!(plain.stats.committed, observed.stats.committed);
     assert_eq!(plain.stats.cpi, observed.stats.cpi);
@@ -228,8 +252,21 @@ fn observed_run_is_deterministically_identical() {
 fn trace_tail_mode_keeps_the_end_of_the_run() {
     let p = Processor::new(MachineConfig::base_8way());
     let limit = RunLimit::instructions(2_000);
-    let (r_head, head) = p.run_program_traced(em3d().program(), limit, 64);
-    let (r_tail, tail) = p.run_program_traced_tail(em3d().program(), limit, 64);
+    let (mut head, mut tail) = (Trace::new(64), Trace::new_tail(64));
+    let r_head = p.run(
+        em3d().program(),
+        RunOptions {
+            sink: Some(&mut head),
+            ..limit.into()
+        },
+    );
+    let r_tail = p.run(
+        em3d().program(),
+        RunOptions {
+            sink: Some(&mut tail),
+            ..limit.into()
+        },
+    );
     assert_eq!(r_head.stats.committed, r_tail.stats.committed);
     assert_eq!(head.len(), 64);
     assert_eq!(tail.len(), 64);

@@ -2,7 +2,8 @@
 //! gating, the two-level register file, the trace facility, and the
 //! forward-progress machinery.
 
-use wib::core::{MachineConfig, Processor, RegFileConfig, RunLimit};
+use wib::core::trace::Trace;
+use wib::core::{MachineConfig, Processor, RegFileConfig, RunLimit, RunOptions};
 use wib::isa::asm::ProgramBuilder;
 use wib::isa::program::Program;
 use wib::isa::reg::*;
@@ -10,7 +11,7 @@ use wib::isa::reg::*;
 fn run(cfg: MachineConfig, p: &Program, n: u64) -> wib::core::RunResult {
     let mut proc_ = Processor::new(cfg);
     proc_.enable_cosim();
-    proc_.run_program(p, RunLimit::instructions(n))
+    proc_.run(p, RunLimit::instructions(n).into())
 }
 
 /// Alternating-direction branch that the two-level history captures but
@@ -166,7 +167,14 @@ fn store_wait_training_reduces_replays() {
 fn trace_lifecycles_are_ordered() {
     let w = wib::workloads::suite::olden::em3d(64, 4, 2);
     let p = Processor::new(MachineConfig::wib_2k());
-    let (result, trace) = p.run_program_traced(w.program(), RunLimit::instructions(5_000), 256);
+    let mut trace = Trace::new(256);
+    let result = p.run(
+        w.program(),
+        RunOptions {
+            sink: Some(&mut trace),
+            ..RunLimit::instructions(5_000).into()
+        },
+    );
     assert!(result.stats.committed >= 256);
     assert_eq!(trace.len(), 256);
     let mut prev_commit = 0;
@@ -193,9 +201,9 @@ fn trace_lifecycles_are_ordered() {
 fn occupancy_statistics_show_the_window_difference() {
     let w = wib::workloads::suite::fp::art(2048, 2, 2);
     let base = Processor::new(MachineConfig::base_8way())
-        .run_program(w.program(), RunLimit::instructions(20_000));
+        .run(w.program(), RunLimit::instructions(20_000).into());
     let wib = Processor::new(MachineConfig::wib_2k())
-        .run_program(w.program(), RunLimit::instructions(20_000));
+        .run(w.program(), RunLimit::instructions(20_000).into());
     assert!(base.stats.occupancy_window.count() > 0);
     assert!(base.stats.occupancy_window.max() <= 128);
     assert!(

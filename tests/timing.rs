@@ -10,7 +10,7 @@ use wib::isa::reg::*;
 fn run(cfg: MachineConfig, p: &Program) -> RunResult {
     let mut proc_ = Processor::new(cfg);
     proc_.enable_cosim();
-    proc_.run_program(p, RunLimit::instructions(1_000_000))
+    proc_.run(p, RunLimit::instructions(1_000_000).into())
 }
 
 /// A serial pointer chase pays the full memory latency per hop.
