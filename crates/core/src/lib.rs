@@ -95,7 +95,7 @@ pub use events::{
 pub use hist::{Log2Snapshot, LOG2_BUCKETS};
 pub use json::Json;
 pub use metrics::{Counter, Exposition, Gauge, HistogramMetric, Registry};
-pub use processor::{Processor, RunLimit, RunOptions, RunResult};
+pub use processor::{Processor, RunLimit, RunOptions, RunResult, WarmUpWork};
 pub use profile::{StageProfile, PROFILE_SAMPLE_PERIOD, STAGE_COUNT, STAGE_NAMES};
 pub use rob::MissKind;
 pub use stats::{IntervalSample, SimStats};

@@ -114,6 +114,22 @@ pub struct RunResult {
     /// telemetry, *not* simulated state: two identical runs produce
     /// identical `stats` but different profiles.
     pub profile: StageProfile,
+    /// Work the warm-up did (all zero for a run with no warm-up).
+    pub warmup_work: WarmUpWork,
+}
+
+/// Deterministic counts of the work a warm-up did. Like
+/// [`RunResult::profile`] they describe the host-side cost of a run, not
+/// the simulated machine, so they stay out of [`SimStats`] and its
+/// digest; unlike it, they repeat exactly from run to run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WarmUpWork {
+    /// Instruction words the reference interpreter decoded.
+    pub decodes: u64,
+    /// TLB and L1 lookups made to warm the memory hierarchy.
+    pub hier_lookups: u64,
+    /// Bytes of memory image copied to hand the warmed state over.
+    pub bytes_cloned: u64,
 }
 
 impl RunResult {
@@ -215,12 +231,16 @@ impl Processor {
         engine.machine_check = self.machine_check;
         engine.no_skip = self.no_skip;
         engine.cancel = self.cancel.clone();
+        let mut warmup_work = WarmUpWork::default();
         if opts.warmup > 0 {
-            engine.warm_up(opts.warmup);
+            warmup_work = engine.warm_up(program, opts.warmup);
             engine.halted = engine.checker.as_ref().is_some_and(Interpreter::is_halted);
         }
         engine.sink = opts.sink.map(|sink| sink as &mut dyn EventSink);
-        engine.run(opts.limit)
+        RunResult {
+            warmup_work,
+            ..engine.run(opts.limit)
+        }
     }
 
     /// [`Processor::run`] after `warmup` fast-forwarded instructions, with
@@ -509,23 +529,13 @@ impl<'c> Engine<'c> {
     }
 
     /// Fast-forward on the interpreter, warming caches/TLBs, then seed the
-    /// detailed machine from the resulting architectural state.
-    fn warm_up(&mut self, instructions: u64) {
-        let snapshot = Program {
-            code_base: 0,
-            code: Vec::new(),
-            data: Vec::new(),
-            entry: self.fetch_pc,
-        };
-        let mut interp = match self.checker.take() {
-            Some(i) => i,
-            None => {
-                // Build a throwaway interpreter over a copy of memory.
-                let mut i = Interpreter::new(&snapshot);
-                *i.memory_mut() = self.mem.clone();
-                i
-            }
-        };
+    /// detailed machine from the resulting architectural state. The
+    /// advanced interpreter then checks every commit of the detailed run.
+    fn warm_up(&mut self, program: &Program, instructions: u64) -> WarmUpWork {
+        let mut interp = self
+            .checker
+            .take()
+            .unwrap_or_else(|| Interpreter::new(program));
         for done in 0..instructions {
             if interp.is_halted() {
                 break;
@@ -556,6 +566,11 @@ impl<'c> Engine<'c> {
         self.hier.reset_stats();
         // Seed architectural state.
         self.mem = interp.memory().clone();
+        let work = WarmUpWork {
+            decodes: interp.decodes(),
+            hier_lookups: self.hier.warm_lookups(),
+            bytes_cloned: self.mem.bytes_allocated() as u64,
+        };
         self.fetch_pc = interp.pc();
         for flat in 0..NUM_ARCH_REGS as u8 {
             let r = ArchReg::from_flat(flat);
@@ -566,13 +581,10 @@ impl<'c> Engine<'c> {
                 RegClass::Fp => self.rf_fp.poke(p, bits),
             }
         }
-        if self.checker.is_some() || interp.retired() > 0 {
-            self.checker = self.checker.take().or(Some(interp.clone()));
-        }
-        // If cosim was enabled, keep the advanced interpreter as checker.
-        if self.checker.is_some() {
+        if interp.retired() > 0 {
             self.checker = Some(interp);
         }
+        work
     }
 
     fn rf(&self, class: RegClass) -> &RegFile {
@@ -2660,6 +2672,7 @@ impl<'c> Engine<'c> {
             halted: self.halted,
             cancelled: self.cancelled,
             profile: self.profile,
+            warmup_work: WarmUpWork::default(),
         }
     }
 }

@@ -65,7 +65,32 @@ pub struct StepInfo {
     pub mem: Option<MemAccess>,
 }
 
+/// An instruction with the register operands `step` reads and writes.
+#[derive(Debug, Clone, Copy)]
+struct Decoded {
+    inst: Inst,
+    sources: [Option<ArchReg>; 2],
+    dest: Option<ArchReg>,
+}
+
+impl Decoded {
+    /// Decode `word`; `None` if it is not an instruction.
+    fn new(word: u32) -> Option<Decoded> {
+        Inst::decode(word).map(|inst| Decoded {
+            inst,
+            sources: inst.sources(),
+            dest: inst.dest(),
+        })
+    }
+}
+
 /// The architectural state and stepping engine.
+///
+/// The code image is decoded once, when the interpreter is built: `step`
+/// reads a PC inside the image from that table instead of reading and
+/// decoding the word in memory. A store that writes into the image
+/// decodes the words it touched again, so the table always equals the
+/// decoding of memory. PCs outside the image read memory and decode.
 #[derive(Debug, Clone)]
 pub struct Interpreter {
     pc: u32,
@@ -74,13 +99,26 @@ pub struct Interpreter {
     mem: PagedMemory,
     halted: bool,
     retired: u64,
+    /// Address of the first word of the code image.
+    code_base: u32,
+    /// The decoding of every code-image word (`None`: does not decode).
+    decoded: Vec<Option<Decoded>>,
+    /// Words decoded so far: the image at construction, image words
+    /// re-decoded after a store, and every fetch from outside the image.
+    decodes: u64,
 }
 
 impl Interpreter {
-    /// Load `program` into a fresh memory and set the PC to its entry.
+    /// Load `program` into a fresh memory, decode its code image and set
+    /// the PC to its entry.
     pub fn new(program: &Program) -> Interpreter {
         let mut mem = PagedMemory::new();
         program.load_into(&mut mem);
+        // Decode the loaded words, so a data segment over the code wins here
+        // as it does in memory.
+        let decoded = (0..program.code.len() as u32)
+            .map(|i| Decoded::new(mem.read_u32(program.code_base.wrapping_add(4 * i))))
+            .collect();
         Interpreter {
             pc: program.entry,
             int_regs: [0; NUM_INT_REGS],
@@ -88,6 +126,9 @@ impl Interpreter {
             mem,
             halted: false,
             retired: 0,
+            code_base: program.code_base,
+            decoded,
+            decodes: program.code.len() as u64,
         }
     }
 
@@ -132,14 +173,14 @@ impl Interpreter {
         }
     }
 
+    /// Instruction words decoded so far (see [`Interpreter`]).
+    pub fn decodes(&self) -> u64 {
+        self.decodes
+    }
+
     /// The backing memory.
     pub fn memory(&self) -> &PagedMemory {
         &self.mem
-    }
-
-    /// Mutable access to the backing memory (for test setup).
-    pub fn memory_mut(&mut self) -> &mut PagedMemory {
-        &mut self.mem
     }
 
     fn read_src(&self, r: Option<ArchReg>) -> u64 {
@@ -156,6 +197,53 @@ impl Interpreter {
         }
     }
 
+    /// The instruction at `pc`: from the decoded image when `pc` is one of
+    /// its words, else read from memory and decoded.
+    fn fetch(&mut self, pc: u32) -> Result<Decoded, InterpError> {
+        let off = pc.wrapping_sub(self.code_base);
+        let slot = if off % 4 == 0 {
+            self.decoded.get((off / 4) as usize)
+        } else {
+            None
+        };
+        let inst = match slot {
+            Some(&inst) => inst,
+            None => {
+                self.decodes += 1;
+                Decoded::new(self.mem.read_u32(pc))
+            }
+        };
+        inst.ok_or_else(|| InterpError::InvalidInstruction {
+            pc,
+            word: self.mem.read_u32(pc),
+        })
+    }
+
+    /// Decode again every code-image word that a `width`-byte store at
+    /// `addr` wrote to.
+    fn redecode_stored(&mut self, addr: u32, width: u32) {
+        let off = addr.wrapping_sub(self.code_base);
+        let image_bytes = 4 * self.decoded.len() as u64;
+        // The store's last byte wraps past 2^32 iff `off + width - 1`
+        // overflows; only then can an offset above the image reach it.
+        if u64::from(off) >= image_bytes && off.checked_add(width - 1).is_some() {
+            return;
+        }
+        let mut last = None;
+        for byte in 0..width {
+            let o = u64::from(off.wrapping_add(byte));
+            let word = o / 4;
+            if o < image_bytes && last != Some(word) {
+                last = Some(word);
+                let bits = self
+                    .mem
+                    .read_u32(self.code_base.wrapping_add(4 * word as u32));
+                self.decoded[word as usize] = Decoded::new(bits);
+                self.decodes += 1;
+            }
+        }
+    }
+
     /// Execute one instruction and report what it did.
     ///
     /// Does nothing once halted (and reports no memory access).
@@ -168,10 +256,11 @@ impl Interpreter {
         if self.halted {
             return Ok(StepInfo { pc, mem: None });
         }
-        let word = self.mem.read_u32(self.pc);
-        let inst =
-            Inst::decode(word).ok_or(InterpError::InvalidInstruction { pc: self.pc, word })?;
-        let [s1, s2] = inst.sources();
+        let Decoded {
+            inst,
+            sources: [s1, s2],
+            dest,
+        } = self.fetch(pc)?;
         let a = self.read_src(s1);
         let b = self.read_src(s2);
         let mut next_pc = pc.wrapping_add(4);
@@ -185,14 +274,14 @@ impl Interpreter {
             }
         } else if inst.is_control() {
             next_pc = exec::control_target(&inst, pc, a);
-            if let Some(dest) = inst.dest() {
+            if let Some(dest) = dest {
                 let link = exec::alu_result(&inst, a, b, pc).expect("calls link");
                 self.write_dest(dest, link);
             }
         } else if inst.is_load() {
             let addr = exec::effective_address(&inst, a);
             let bits = self.mem.read_bits(addr, inst.mem_width());
-            if let Some(dest) = inst.dest() {
+            if let Some(dest) = dest {
                 self.write_dest(dest, bits);
             }
             mem_access = Some(MemAccess {
@@ -203,13 +292,14 @@ impl Interpreter {
         } else if inst.is_store() {
             let addr = exec::effective_address(&inst, a);
             self.mem.write_bits(addr, inst.mem_width(), b);
+            self.redecode_stored(addr, inst.mem_width());
             mem_access = Some(MemAccess {
                 addr,
                 width: inst.mem_width(),
                 is_store: true,
             });
         } else if let Some(result) = exec::alu_result(&inst, a, b, pc) {
-            if let Some(dest) = inst.dest() {
+            if let Some(dest) = dest {
                 self.write_dest(dest, result);
             }
         }
@@ -368,6 +458,101 @@ mod tests {
         b.halt();
         let i = run(b);
         assert_eq!(i.int_reg(R0), 0);
+    }
+
+    /// `op r3, r0, imm` encoded.
+    fn encoded(op: crate::inst::Opcode, imm: i32) -> u32 {
+        Inst {
+            op,
+            rd: 3,
+            rs1: 0,
+            rs2: 0,
+            imm,
+        }
+        .encode()
+    }
+
+    fn addi_r3(imm: i32) -> u32 {
+        encoded(crate::inst::Opcode::Addi, imm)
+    }
+
+    /// A program that stores `value` (`width` 4 or 1) over the code word
+    /// `addi r3, r0, 1` that it then executes, followed by `halt`.
+    fn patch_then_run(value: u32, width: u32) -> (Program, u32) {
+        let mut b = ProgramBuilder::new(0x1000);
+        b.li(R1, value);
+        let target = b.here() + 8;
+        b.li(R2, target);
+        match width {
+            4 => b.sw(R1, R2, 0),
+            _ => b.sb(R1, R2, 0),
+        };
+        assert_eq!(b.here(), target);
+        b.addi(R3, R0, 1);
+        b.halt();
+        (b.finish().unwrap(), target)
+    }
+
+    #[test]
+    fn word_store_into_code_is_executed() {
+        let (p, _) = patch_then_run(addi_r3(42), 4);
+        let mut i = Interpreter::new(&p);
+        assert_eq!(i.run(100).unwrap(), StopReason::Halted);
+        assert_eq!(i.int_reg(R3), 42);
+        // The image once, plus the one word the store rewrote.
+        assert_eq!(i.decodes(), p.len() as u64 + 1);
+    }
+
+    #[test]
+    fn byte_store_into_code_is_executed() {
+        // The immediate is the word's low half; its low byte comes first.
+        let (p, _) = patch_then_run(0x2a, 1);
+        let mut i = Interpreter::new(&p);
+        assert_eq!(i.run(100).unwrap(), StopReason::Halted);
+        assert_eq!(i.int_reg(R3), 42);
+        assert_eq!(i.decodes(), p.len() as u64 + 1);
+    }
+
+    #[test]
+    fn undecodable_store_into_code_is_reported() {
+        let (p, target) = patch_then_run(0xffff_ffff, 4);
+        let mut i = Interpreter::new(&p);
+        assert_eq!(
+            i.run(100).unwrap_err(),
+            InterpError::InvalidInstruction {
+                pc: target,
+                word: 0xffff_ffff
+            }
+        );
+    }
+
+    #[test]
+    fn data_loaded_over_code_is_what_runs() {
+        let mut b = ProgramBuilder::new(0x1000);
+        b.addi(R3, R0, 1);
+        b.halt();
+        let mut p = b.finish().unwrap();
+        p.data.push((0x1000, addi_r3(7).to_le_bytes().to_vec()));
+        let mut i = Interpreter::new(&p);
+        assert_eq!(i.run(10).unwrap(), StopReason::Halted);
+        assert_eq!(i.int_reg(R3), 7);
+    }
+
+    #[test]
+    fn code_outside_the_image_decodes_from_memory() {
+        let mut b = ProgramBuilder::new(0x1000);
+        b.li(R4, 0x9000);
+        b.jr(R4);
+        let mut p = b.finish().unwrap();
+        let halt = encoded(crate::inst::Opcode::Halt, 0);
+        let words = [addi_r3(5), halt];
+        p.data
+            .push((0x9000, words.iter().flat_map(|w| w.to_le_bytes()).collect()));
+        let mut i = Interpreter::new(&p);
+        assert_eq!(i.run(100).unwrap(), StopReason::Halted);
+        assert_eq!(i.int_reg(R3), 5);
+        assert_eq!(i.pc(), 0x9008);
+        assert_eq!(i.decodes(), p.len() as u64 + 2);
     }
 
     #[test]

@@ -83,10 +83,42 @@ pub trait Memory {
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 
+/// Multiplicative (Fibonacci) hash of a page number.
+///
+/// Every fetch, load and store looks its page up, so the map's hasher is
+/// on the interpreter's hottest path. Page numbers come from the
+/// simulated program, not from an adversary, and nothing iterates the
+/// map, so SipHash's flooding resistance and its cost buy nothing here.
+/// The odd multiplier permutes the low bits (distinct pages never share
+/// a full hash) and spreads every key bit into the high bits the table
+/// uses for its control bytes.
+#[derive(Debug, Default, Clone, Copy)]
+struct PageHasher(u64);
+
+impl std::hash::Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = u64::from(n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
 /// A sparse, paged memory: only touched 4 KB pages are allocated.
 #[derive(Debug, Default, Clone)]
 pub struct PagedMemory {
-    pages: std::collections::HashMap<u32, Box<[u8; PAGE_SIZE]>>,
+    pages: std::collections::HashMap<
+        u32,
+        Box<[u8; PAGE_SIZE]>,
+        std::hash::BuildHasherDefault<PageHasher>,
+    >,
 }
 
 impl PagedMemory {
@@ -98,6 +130,11 @@ impl PagedMemory {
     /// Number of 4 KB pages currently allocated.
     pub fn pages_allocated(&self) -> usize {
         self.pages.len()
+    }
+
+    /// Bytes of page storage currently allocated (what a clone copies).
+    pub fn bytes_allocated(&self) -> usize {
+        self.pages.len() * PAGE_SIZE
     }
 }
 

@@ -103,6 +103,46 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
+/// What one side (instruction or data) of the warm-up path touched last.
+///
+/// A warm access to the page its side translated last is already MRU in
+/// that side's TLB, and one to the line it touched last is already MRU
+/// in that side's L1 (only this side reaches its TLB and L1, and an L1
+/// hit never reaches L2). Repeating such a lookup changes nothing but
+/// the LRU clock, whose values only ever compare within one set, and the
+/// statistics, which are reset after warm-up. So the lookup is skipped,
+/// except for a write to a line not yet dirtied here.
+#[derive(Debug, Clone, Copy, Default)]
+struct WarmFilter {
+    page: Option<u32>,
+    line: Option<u32>,
+    /// `line` is known to be dirty.
+    dirty: bool,
+}
+
+impl WarmFilter {
+    /// Record a warm access to `page`; true if its TLB lookup is needed.
+    fn needs_page(&mut self, page: u32) -> bool {
+        let needed = self.page != Some(page);
+        self.page = Some(page);
+        needed
+    }
+
+    /// Record a warm access to `line`; true if its L1 lookup is needed.
+    fn needs_line(&mut self, line: u32, write: bool) -> bool {
+        if self.line == Some(line) {
+            if self.dirty || !write {
+                return false;
+            }
+        } else {
+            self.line = Some(line);
+            self.dirty = false;
+        }
+        self.dirty |= write;
+        true
+    }
+}
+
 /// The L1I/L1D/L2/DRAM timing stack.
 #[derive(Debug, Clone)]
 pub struct MemoryHierarchy {
@@ -123,11 +163,20 @@ pub struct MemoryHierarchy {
     /// Accesses since the last stale-fill sweep.
     accesses_since_drain: u32,
     stats: HierStats,
+    /// Page-number shift of the instruction and data TLBs.
+    ipage_shift: u32,
+    dpage_shift: u32,
+    warm_i: WarmFilter,
+    warm_d: WarmFilter,
+    /// TLB and L1 lookups performed by `warm_inst`/`warm_data`.
+    warm_lookups: u64,
 }
 
 impl MemoryHierarchy {
     /// Build an empty (cold) hierarchy.
     pub fn new(cfg: HierConfig) -> MemoryHierarchy {
+        let ipage_shift = cfg.itlb.page_bytes.trailing_zeros();
+        let dpage_shift = cfg.dtlb.page_bytes.trailing_zeros();
         MemoryHierarchy {
             l1i: Cache::new(cfg.l1i),
             l1d: Cache::new(cfg.l1d),
@@ -138,6 +187,11 @@ impl MemoryHierarchy {
             inflight: HashMap::new(),
             accesses_since_drain: 0,
             stats: HierStats::default(),
+            ipage_shift,
+            dpage_shift,
+            warm_i: WarmFilter::default(),
+            warm_d: WarmFilter::default(),
+            warm_lookups: 0,
         }
     }
 
@@ -195,6 +249,7 @@ impl MemoryHierarchy {
     /// Fetch the instruction at `pc`: returns the cycle the bytes are
     /// available.
     pub fn inst_fetch(&mut self, pc: u32, now: u64) -> u64 {
+        self.clear_warm_filters();
         self.maybe_drain(now);
         let tlb_extra = self.itlb.translate(pc);
         let line = self.l1i.line_addr(pc);
@@ -226,6 +281,7 @@ impl MemoryHierarchy {
     /// Stores allocate and dirty the line but the caller decides whether
     /// their latency matters (committed stores retire into a write buffer).
     pub fn data_access(&mut self, addr: u32, kind: AccessKind, now: u64) -> DataAccess {
+        self.clear_warm_filters();
         self.maybe_drain(now);
         self.stats.data_accesses += 1;
         let tlb_extra = self.dtlb.translate(addr);
@@ -272,23 +328,48 @@ impl MemoryHierarchy {
         }
     }
 
+    /// Forget what the warm-up path touched last: a timed access may move
+    /// another line or page into MRU position.
+    fn clear_warm_filters(&mut self) {
+        self.warm_i = WarmFilter::default();
+        self.warm_d = WarmFilter::default();
+    }
+
     /// Warm the data-side hierarchy with `addr` without collecting stats
     /// (used during fast-forward). Timing state (MSHRs) is untouched.
     pub fn warm_data(&mut self, addr: u32, kind: AccessKind) {
-        self.dtlb.translate(addr);
-        let l1 = self.l1d.access(addr, kind);
-        if !l1.hit {
-            self.l2.access(addr, AccessKind::Read);
+        if self.warm_d.needs_page(addr >> self.dpage_shift) {
+            self.warm_lookups += 1;
+            self.dtlb.translate(addr);
+        }
+        let line = self.l1d.line_addr(addr);
+        if self.warm_d.needs_line(line, kind == AccessKind::Write) {
+            self.warm_lookups += 1;
+            if !self.l1d.access(addr, kind).hit {
+                self.l2.access(addr, AccessKind::Read);
+            }
         }
     }
 
     /// Warm the instruction-side hierarchy with `pc` (fast-forward).
     pub fn warm_inst(&mut self, pc: u32) {
-        self.itlb.translate(pc);
-        let l1 = self.l1i.access(pc, AccessKind::Read);
-        if !l1.hit {
-            self.l2.access(pc, AccessKind::Read);
+        if self.warm_i.needs_page(pc >> self.ipage_shift) {
+            self.warm_lookups += 1;
+            self.itlb.translate(pc);
         }
+        let line = self.l1i.line_addr(pc);
+        if self.warm_i.needs_line(line, false) {
+            self.warm_lookups += 1;
+            if !self.l1i.access(pc, AccessKind::Read).hit {
+                self.l2.access(pc, AccessKind::Read);
+            }
+        }
+    }
+
+    /// TLB and L1 lookups `warm_inst` and `warm_data` have performed (a
+    /// work counter; [`MemoryHierarchy::reset_stats`] leaves it alone).
+    pub fn warm_lookups(&self) -> u64 {
+        self.warm_lookups
     }
 
     /// Number of line fills currently outstanding at `now`.
